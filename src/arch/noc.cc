@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <deque>
 
 #include "common/logging.hh"
@@ -10,24 +11,28 @@ namespace adyna::arch {
 
 namespace {
 
-/** Signed shortest torus step direction from a to b over size n:
- * +1 = increasing index, -1 = decreasing, 0 = equal. */
+/** Signed shortest torus offset from a to b over size n: positive
+ * steps go in the + direction (increasing index), negative ones in
+ * the - direction. The n/2 tie on an even side goes +. */
+int
+torusOffset(int a, int b, int n)
+{
+    const int fwd = (b - a + n) % n; // steps in + direction
+    return fwd <= n - fwd ? fwd : fwd - n;
+}
+
+/** Torus step direction from a to b: +1, -1, or 0 when equal. */
 int
 torusDir(int a, int b, int n)
 {
-    if (a == b)
-        return 0;
-    const int fwd = (b - a + n) % n;  // steps in + direction
-    const int back = (a - b + n) % n; // steps in - direction
-    return fwd <= back ? +1 : -1;
+    const int off = torusOffset(a, b, n);
+    return (off > 0) - (off < 0);
 }
 
 int
 torusDist(int a, int b, int n)
 {
-    const int fwd = (b - a + n) % n;
-    const int back = (a - b + n) % n;
-    return std::min(fwd, back);
+    return std::abs(torusOffset(a, b, n));
 }
 
 } // namespace
@@ -40,6 +45,10 @@ Noc::Noc(const HwConfig &cfg) : cfg_(cfg)
         links_.emplace_back(cfg_.nocLinkBytesPerCycle);
     linkDown_.assign(n, 0);
     linkFactor_.assign(n, 1.0);
+    const auto cols = static_cast<std::size_t>(cfg_.gridCols);
+    colSouth_.assign(cols, 0);
+    colNorth_.assign(cols, 0);
+    scratchCols_.reserve(cols);
 }
 
 std::size_t
@@ -91,14 +100,6 @@ std::vector<std::size_t>
 Noc::path(TileId src, TileId dst) const
 {
     std::vector<std::size_t> out;
-    appendPathXY(src, dst, out);
-    return out;
-}
-
-void
-Noc::appendPathXY(TileId src, TileId dst,
-                  std::vector<std::size_t> &out) const
-{
     int row = cfg_.tileRow(src);
     int col = cfg_.tileCol(src);
     const int dstRow = cfg_.tileRow(dst);
@@ -121,6 +122,7 @@ Noc::appendPathXY(TileId src, TileId dst,
             linkIndex(here, dir > 0 ? kLinkSouth : kLinkNorth));
         row = (row + dir + cfg_.gridRows) % cfg_.gridRows;
     }
+    return out;
 }
 
 std::vector<std::size_t>
@@ -244,7 +246,7 @@ Noc::transfer(Tick earliest, TileId src, TileId dst, Bytes bytes)
         t.end = earliest;
         return t;
     }
-    if (anyLinkFault_) {
+    if (downLinks_ > 0) {
         const auto rt = route(src, dst);
         t.hops = static_cast<int>(rt.size());
         Tick latest = earliest;
@@ -266,10 +268,11 @@ Noc::transfer(Tick earliest, TileId src, TileId dst, Bytes bytes)
         return t;
     }
 
-    // Fault-free fast path: walk the X-Y route inline, reserving each
-    // link as it is visited, instead of materializing the path in a
-    // heap-allocated vector. Link visit order matches path() exactly,
-    // so reports stay byte-identical.
+    // Every link up, so the route is X-Y (degraded links only stretch
+    // their reservations, inside acquireLink): walk it inline,
+    // reserving each link as it is visited, instead of materializing
+    // the path in a heap-allocated vector. Link visit order matches
+    // path() exactly, so reports stay byte-identical.
     int row = cfg_.tileRow(src);
     int col = cfg_.tileCol(src);
     const int dstRow = cfg_.tileRow(dst);
@@ -319,42 +322,97 @@ Noc::multicast(Tick earliest, TileId src,
     if (bytes == 0 || dsts.empty())
         return t;
 
-    // Union of the per-destination paths: each link carries the
-    // payload once (replication happens at branch points). The link
-    // list lives in a member scratch buffer so steady-state
-    // multicasts reuse its capacity instead of allocating.
-    auto &links = scratchLinks_;
-    links.clear();
+    Tick latest = earliest;
     int maxHops = 0;
-    for (TileId dst : dsts) {
-        if (dst == src)
-            continue;
-        if (anyLinkFault_) {
+    std::size_t unionLinks = 0;
+    if (downLinks_ > 0) {
+        // Union of the per-destination fault-aware routes: each link
+        // carries the payload once (replication happens at branch
+        // points). The list lives in a member scratch buffer so its
+        // capacity is reused.
+        auto &links = scratchLinks_;
+        links.clear();
+        for (TileId dst : dsts) {
+            if (dst == src)
+                continue;
             const auto rt = route(src, dst);
 #ifdef ADYNA_SANITIZE
             validateRoute(rt, src, dst);
 #endif
             maxHops = std::max(maxHops, static_cast<int>(rt.size()));
-            for (std::size_t link : rt)
-                links.push_back(link);
-        } else {
-            const auto before = links.size();
-            appendPathXY(src, dst, links);
-            maxHops = std::max(
-                maxHops, static_cast<int>(links.size() - before));
+            links.insert(links.end(), rt.begin(), rt.end());
         }
-    }
-    std::sort(links.begin(), links.end());
-    links.erase(std::unique(links.begin(), links.end()), links.end());
+        std::sort(links.begin(), links.end());
+        links.erase(std::unique(links.begin(), links.end()),
+                    links.end());
+        for (std::size_t link : links)
+            latest = std::max(latest,
+                              acquireLink(link, earliest, bytes).end);
+        unionLinks = links.size();
+    } else {
+        // Every link up, so every route is X-Y (degraded links only
+        // stretch their reservations, inside acquireLink), and the
+        // X-Y routes from one source form a tree. All of them leave
+        // along the source row, sharing one X run per direction, then
+        // branch into one Y run per reached column (again one per
+        // direction). So the union is the longest east and west runs
+        // plus, per column, the longest south and north runs: built
+        // directly, with no per-destination walk and no dedup. Links
+        // are independent resources, so the order they are reserved
+        // in cannot change a grant. Direction ties on an even side
+        // resolve as in torusDir().
+        const int cols = cfg_.gridCols;
+        const int rows = cfg_.gridRows;
+        const int srcRow = cfg_.tileRow(src);
+        const int srcCol = cfg_.tileCol(src);
+        int east = 0;
+        int west = 0;
+        scratchCols_.clear();
+        for (TileId dst : dsts) {
+            if (dst == src)
+                continue;
+            const int col = cfg_.tileCol(dst);
+            const int dx = torusOffset(srcCol, col, cols);
+            const int dy = torusOffset(srcRow, cfg_.tileRow(dst), rows);
+            east = std::max(east, dx);
+            west = std::max(west, -dx);
+            if (dy != 0) {
+                int &south = colSouth_[static_cast<std::size_t>(col)];
+                int &north = colNorth_[static_cast<std::size_t>(col)];
+                if (south == 0 && north == 0)
+                    scratchCols_.push_back(col);
+                south = std::max(south, dy);
+                north = std::max(north, -dy);
+            }
+            maxHops = std::max(maxHops, std::abs(dx) + std::abs(dy));
+        }
 
-    Tick latest = earliest;
-    for (std::size_t link : links) {
-        const auto res = acquireLink(link, earliest, bytes);
-        latest = std::max(latest, res.end);
+        const auto reserve = [&](int row, int col, int dir) {
+            const auto here = static_cast<TileId>(row * cols + col);
+            latest = std::max(
+                latest,
+                acquireLink(linkIndex(here, dir), earliest, bytes).end);
+        };
+        for (int k = 0; k < east; ++k)
+            reserve(srcRow, (srcCol + k) % cols, kLinkEast);
+        for (int k = 0; k < west; ++k)
+            reserve(srcRow, (srcCol - k + cols) % cols, kLinkWest);
+        unionLinks = static_cast<std::size_t>(east + west);
+        for (int col : scratchCols_) {
+            int &south = colSouth_[static_cast<std::size_t>(col)];
+            int &north = colNorth_[static_cast<std::size_t>(col)];
+            for (int k = 0; k < south; ++k)
+                reserve((srcRow + k) % rows, col, kLinkSouth);
+            for (int k = 0; k < north; ++k)
+                reserve((srcRow - k + rows) % rows, col, kLinkNorth);
+            unionLinks += static_cast<std::size_t>(south + north);
+            south = 0;
+            north = 0;
+        }
     }
     t.hops = maxHops;
     t.end = latest + static_cast<Tick>(maxHops) * cfg_.nocHopLatency;
-    t.byteHops = bytes * static_cast<Bytes>(links.size());
+    t.byteHops = bytes * static_cast<Bytes>(unionLinks);
     byteHops_ += t.byteHops;
     return t;
 }

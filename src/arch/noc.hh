@@ -161,10 +161,6 @@ class Noc
     /** Torus X-Y path as a sequence of directed link indices. */
     std::vector<std::size_t> path(TileId src, TileId dst) const;
 
-    /** Append the X-Y path's directed link indices to @p out. */
-    void appendPathXY(TileId src, TileId dst,
-                      std::vector<std::size_t> &out) const;
-
     /** Y-X (rows first) variant of path(). */
     std::vector<std::size_t> pathYX(TileId src, TileId dst) const;
 
@@ -204,10 +200,18 @@ class Noc
     std::vector<des::GapBandwidthResource> links_;
     Bytes byteHops_ = 0;
 
-    /** Reused multicast link-union buffer (capacity persists). */
+    /** Reused multicast scratch (capacity persists): the link union
+     * of the fault path, and the fault-free route tree's longest
+     * south / north run per column (all zero between calls) plus the
+     * columns it reached. */
     std::vector<std::size_t> scratchLinks_;
+    std::vector<int> colSouth_;
+    std::vector<int> colNorth_;
+    std::vector<int> scratchCols_;
 
-    // Fault state. anyLinkFault_ gates every hot-path branch so the
+    // Fault state. Only down links change routes, so downLinks_
+    // alone picks the route-aware transfer / multicast paths;
+    // anyLinkFault_ gates acquireLink's degradation check so the
     // healthy case costs one bool test.
     bool anyLinkFault_ = false;
     int downLinks_ = 0;

@@ -64,23 +64,31 @@ GapBandwidthResource::acquire(Tick earliest, Bytes bytes)
     busyTicks_ += dur;
 
     // First idle gap of length >= dur starting at or after earliest.
-    // Expired entries before head_ are skipped: their ends precede
-    // every admissible earliest, so they cannot move the candidate.
+    // Live intervals are sorted and disjoint, so their ends are
+    // sorted too: every interval ending at or before earliest sits
+    // in a prefix that can neither hold the grant nor move the
+    // candidate, and a binary search skips it (along with the
+    // expired entries before head_).
     Tick candidate = earliest;
-    std::size_t insertAt = head_;
-    for (; insertAt < busy_.size(); ++insertAt) {
-        const Reservation &r = busy_[insertAt];
-        if (candidate + dur <= r.start)
+    auto it = std::partition_point(
+        busy_.begin() + static_cast<std::ptrdiff_t>(head_), busy_.end(),
+        [earliest](const Reservation &r) { return r.end <= earliest; });
+    for (; it != busy_.end(); ++it) {
+        if (candidate + dur <= it->start)
             break; // fits before this interval
-        candidate = std::max(candidate, r.end);
+        candidate = std::max(candidate, it->end);
     }
+    const auto insertAt =
+        static_cast<std::size_t>(it - busy_.begin());
     const Reservation granted{candidate, candidate + dur};
+    if (dur == 0)
+        return granted; // occupies nothing: keep busy_ free of [t, t)
 
     // Splice in place. Intervals are disjoint, so the grant can only
     // touch (not overlap) its neighbours; extending a neighbour
     // replaces the old rebuild-the-whole-vector merge pass. A grant
     // is never merged into the expired prefix: that would hide busy
-    // time from the gap search, which starts at head_.
+    // time from the gap search, which never looks before head_.
     const bool touchPrev = insertAt > head_ &&
                            busy_[insertAt - 1].end == granted.start;
     const bool touchNext = insertAt < busy_.size() &&

@@ -14,6 +14,7 @@
 #define ADYNA_DES_RESOURCE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -75,8 +76,11 @@ class BandwidthResource
  * idle gap between existing reservations may claim that gap instead
  * of queueing at the end. This avoids head-of-line blocking when
  * requests are issued out of time order (e.g. a late write-back
- * issued before the next batch's early read). Used for the HBM
- * channels, where reservation counts stay small.
+ * issued before the next batch's early read). Backs every HBM
+ * channel and every directed NoC link, so acquire() is the
+ * simulator's innermost loop: it binary-searches past the intervals
+ * that end at or before the requested start, then scans forward
+ * for the first gap that fits.
  */
 class GapBandwidthResource
 {
@@ -84,7 +88,8 @@ class GapBandwidthResource
     explicit GapBandwidthResource(double bytes_per_tick);
 
     /** Reserve the channel for @p bytes at the earliest idle gap
-     * starting no earlier than @p earliest. */
+     * starting no earlier than @p earliest. A zero-byte request is
+     * granted an empty interval at that point and occupies nothing. */
     Reservation acquire(Tick earliest, Bytes bytes);
 
     Tick serviceTime(Bytes bytes) const;
@@ -107,6 +112,13 @@ class GapBandwidthResource
     std::size_t reservationCount() const
     {
         return busy_.size() - head_;
+    }
+
+    /** The live reservations, sorted by start and disjoint (adjacent
+     * grants are merged into one interval). */
+    std::span<const Reservation> liveReservations() const
+    {
+        return std::span<const Reservation>(busy_).subspan(head_);
     }
 
     void reset();

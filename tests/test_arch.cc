@@ -7,11 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "arch/chip.hh"
 #include "arch/hbm.hh"
 #include "arch/hwconfig.hh"
 #include "arch/noc.hh"
 #include "arch/profiler.hh"
+#include "common/rng.hh"
+#include "des/resource.hh"
 
 namespace {
 
@@ -333,6 +342,252 @@ TEST(NocMulticast, MatchesUnicastForSingleDestination)
     const auto un = b.transfer(0, 0, 14, 4096);
     EXPECT_EQ(mu.end, un.end);
     EXPECT_EQ(mu.byteHops, un.byteHops);
+}
+
+} // namespace
+
+// ------------------------------------------- multicast route tree
+
+namespace {
+
+/**
+ * Reference multicast: the union of the per-destination routes
+ * (route(), so faults apply) deduplicated by sort + unique, reserved
+ * on a shadow set of link resources. Noc's links are 4 per tile in
+ * LinkDir order, so route() indices address the shadow directly.
+ */
+struct ReferenceNoc
+{
+    explicit ReferenceNoc(const HwConfig &config)
+        : hw(config), routes(config),
+          links(static_cast<std::size_t>(config.tiles()) * 4,
+                des::GapBandwidthResource(config.nocLinkBytesPerCycle)),
+          factor(links.size(), 1.0)
+    {
+    }
+
+    /** Reserve one shadow link; a degraded link moves the payload at
+     * factor x the bandwidth. */
+    des::Reservation
+    acquire(std::size_t link, Tick earliest, Bytes bytes)
+    {
+        const auto effective =
+            factor[link] < 1.0
+                ? static_cast<Bytes>(std::ceil(
+                      static_cast<double>(bytes) / factor[link]))
+                : bytes;
+        return links[link].acquire(earliest, effective);
+    }
+
+    void
+    setLinkDown(TileId tile, int dir)
+    {
+        routes.setLinkDown(tile, dir, true);
+    }
+
+    void
+    setLinkBandwidthFactor(TileId tile, int dir, double f)
+    {
+        routes.setLinkBandwidthFactor(tile, dir, f);
+        factor[static_cast<std::size_t>(tile) * 4 +
+               static_cast<std::size_t>(dir)] = f;
+    }
+
+    NocTransfer
+    multicast(Tick earliest, TileId src, const std::vector<TileId> &dsts,
+              Bytes bytes)
+    {
+        NocTransfer t;
+        t.start = earliest;
+        t.end = earliest;
+        if (bytes == 0 || dsts.empty())
+            return t;
+        std::vector<std::size_t> all;
+        for (TileId dst : dsts) {
+            if (dst == src)
+                continue;
+            const auto rt = routes.route(src, dst);
+            t.hops = std::max(t.hops, static_cast<int>(rt.size()));
+            all.insert(all.end(), rt.begin(), rt.end());
+        }
+        std::sort(all.begin(), all.end());
+        all.erase(std::unique(all.begin(), all.end()), all.end());
+        Tick latest = earliest;
+        for (std::size_t link : all)
+            latest = std::max(latest, acquire(link, earliest, bytes).end);
+        t.end = latest + static_cast<Tick>(t.hops) * hw.nocHopLatency;
+        t.byteHops = bytes * static_cast<Bytes>(all.size());
+        return t;
+    }
+
+    Tick
+    busyTicks() const
+    {
+        Tick total = 0;
+        for (const auto &link : links)
+            total += link.busyTicks();
+        return total;
+    }
+
+    HwConfig hw;
+    Noc routes; ///< route() oracle; carries the same faults
+    std::vector<des::GapBandwidthResource> links;
+    std::vector<double> factor; ///< per-link bandwidth factor
+};
+
+/** A destination group of one of the shapes the engine issues, plus
+ * the corner cases: random with duplicates, the source's own row or
+ * column, the full grid, and sets that include the source. */
+std::vector<TileId>
+randomGroup(Rng &rng, const HwConfig &hw, TileId src)
+{
+    const int tiles = hw.tiles();
+    std::vector<TileId> dsts;
+    const auto pick = [&] {
+        return static_cast<TileId>(rng.uniformInt(0, tiles - 1));
+    };
+    switch (rng.uniformInt(0, 4)) {
+      case 0: // random, duplicates allowed
+        for (int n = static_cast<int>(rng.uniformInt(1, 12)); n > 0; --n)
+            dsts.push_back(pick());
+        break;
+      case 1: // same row
+        for (int c = 0; c < hw.gridCols; ++c)
+            if (rng.bernoulli(0.5))
+                dsts.push_back(static_cast<TileId>(
+                    hw.tileRow(src) * hw.gridCols + c));
+        break;
+      case 2: // same column
+        for (int r = 0; r < hw.gridRows; ++r)
+            if (rng.bernoulli(0.5))
+                dsts.push_back(static_cast<TileId>(
+                    r * hw.gridCols + hw.tileCol(src)));
+        break;
+      case 3: // full grid, source included
+        for (int t = 0; t < tiles; ++t)
+            dsts.push_back(static_cast<TileId>(t));
+        break;
+      default: // a contiguous tile group, as the scheduler allocates
+      {
+        const int first = static_cast<int>(rng.uniformInt(0, tiles - 1));
+        const int len = static_cast<int>(rng.uniformInt(1, tiles));
+        for (int i = 0; i < len; ++i)
+            dsts.push_back(static_cast<TileId>((first + i) % tiles));
+        break;
+      }
+    }
+    if (rng.bernoulli(0.3))
+        dsts.push_back(src);
+    return dsts;
+}
+
+/** Drive @p noc and the reference with the same random multicasts,
+ * comparing every transfer, then compare per-link state: aggregate
+ * busy ticks, and a one-link probe transfer on every link that is
+ * some neighbour's whole route (its grant depends on the link's full
+ * interval list). */
+void
+expectMulticastMatchesReference(Noc &noc, ReferenceNoc &ref,
+                                 std::uint64_t seed)
+{
+    const HwConfig &hw = ref.hw;
+    Rng rng(seed);
+    for (int i = 0; i < 300; ++i) {
+        const auto src =
+            static_cast<TileId>(rng.uniformInt(0, hw.tiles() - 1));
+        const auto dsts = randomGroup(rng, hw, src);
+        const auto earliest = static_cast<Tick>(rng.uniformInt(0, 4000));
+        const auto bytes = static_cast<Bytes>(
+            rng.uniformInt(1, 64) * (rng.bernoulli(0.2) ? 4096 : 64));
+        const auto got = noc.multicast(earliest, src, dsts, bytes);
+        const auto want = ref.multicast(earliest, src, dsts, bytes);
+        ASSERT_EQ(got.start, want.start) << "multicast " << i;
+        ASSERT_EQ(got.end, want.end) << "multicast " << i;
+        ASSERT_EQ(got.hops, want.hops) << "multicast " << i;
+        ASSERT_EQ(got.byteHops, want.byteHops) << "multicast " << i;
+    }
+    EXPECT_EQ(noc.linkBusyTicks(), ref.busyTicks());
+
+    int probed = 0;
+    for (TileId tile = 0; tile < static_cast<TileId>(hw.tiles()); ++tile) {
+        for (int dir = 0; dir < 4; ++dir) {
+            const TileId next = torusNeighbor(hw, tile, dir);
+            const std::size_t link =
+                static_cast<std::size_t>(tile) * 4 +
+                static_cast<std::size_t>(dir);
+            if (ref.routes.route(tile, next) !=
+                std::vector<std::size_t>{link})
+                continue;
+            for (const Tick at : {Tick{0}, Tick{1500}}) {
+                const auto got = noc.transfer(at, tile, next, 3000);
+                const Tick want =
+                    ref.acquire(link, at, 3000).end + hw.nocHopLatency;
+                ASSERT_EQ(got.end, want)
+                    << "link " << tile << "/" << dir << " at " << at;
+            }
+            ++probed;
+        }
+    }
+    EXPECT_GT(probed, 0);
+}
+
+TEST(NocMulticast, RouteTreeMatchesPerDestinationUnion)
+{
+    // Odd and even sides, square and not: an even side has the n/2
+    // tie, which X-Y routing breaks towards east / south.
+    const std::pair<int, int> shapes[] = {
+        {3, 5}, {4, 4}, {4, 6}, {5, 5}, {6, 3}, {2, 7}, {1, 6}, {12, 12},
+    };
+    std::uint64_t seed = 1;
+    for (const auto &[rows, cols] : shapes) {
+        SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+        HwConfig hw;
+        hw.gridRows = rows;
+        hw.gridCols = cols;
+        Noc noc(hw);
+        ReferenceNoc ref(hw);
+        expectMulticastMatchesReference(noc, ref, seed++);
+    }
+}
+
+TEST(NocMulticast, LinkDownFaultKeepsPerDestinationUnion)
+{
+    // With a link down, multicast falls back to the per-destination
+    // fault-aware routes (Y-X or a BFS detour) and their union.
+    HwConfig hw;
+    hw.gridRows = 5;
+    hw.gridCols = 6;
+    Noc noc(hw);
+    ReferenceNoc ref(hw);
+    for (const auto &[tile, dir] :
+         {std::pair<TileId, int>{7, kLinkEast}, {14, kLinkSouth},
+          {20, kLinkWest}}) {
+        noc.setLinkDown(tile, dir, true);
+        ref.setLinkDown(tile, dir);
+    }
+    expectMulticastMatchesReference(noc, ref, 99);
+    EXPECT_GT(noc.detourRoutes(), 0u);
+}
+
+TEST(NocMulticast, DegradedLinksKeepRouteTree)
+{
+    // Degraded links (the multi-tenant interference model) keep every
+    // route X-Y and only stretch their own reservations, so the route
+    // tree still applies.
+    HwConfig hw;
+    hw.gridRows = 6;
+    hw.gridCols = 5;
+    Noc noc(hw);
+    ReferenceNoc ref(hw);
+    for (const auto &[tile, dir, f] :
+         {std::tuple<TileId, int, double>{0, kLinkEast, 0.5},
+          {6, kLinkSouth, 0.3}, {12, kLinkWest, 0.75},
+          {13, kLinkNorth, 0.5}}) {
+        noc.setLinkBandwidthFactor(tile, dir, f);
+        ref.setLinkBandwidthFactor(tile, dir, f);
+    }
+    expectMulticastMatchesReference(noc, ref, 7);
+    EXPECT_EQ(noc.detourRoutes(), 0u);
 }
 
 } // namespace

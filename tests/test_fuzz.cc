@@ -133,8 +133,9 @@ TEST_P(FaultFuzz, ParserSurvivesGarbage)
         fault::FaultPlan plan;
         std::string err;
         // Must never crash; a rejected parse must say why.
-        if (!fault::parseFaultPlan(text, plan, &err))
+        if (!fault::parseFaultPlan(text, plan, &err)) {
             EXPECT_FALSE(err.empty()) << text;
+        }
     }
 }
 
