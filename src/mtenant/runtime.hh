@@ -28,10 +28,12 @@
  *    whose region contains a struck tile (FaultInjector::
  *    changedTiles), not the whole chip.
  *
- * A 1-tenant configuration delegates to serve::ServeRuntime
- * verbatim, so its serve report (and JSON) is byte-identical to the
- * single-workload path — the equivalence gate that pins the
- * multi-tenant layer as a pure extension.
+ * A 1-tenant configuration runs this same N-tenant loop with a
+ * full-grid region, no interference links, no tile switches and no
+ * elastic controller (nothing to re-carve), so its serve report (and
+ * JSON) is byte-identical to serve::ServeRuntime's — the equivalence
+ * gate that pins the multi-tenant layer as a pure extension of the
+ * shared back-end.
  */
 
 #ifndef ADYNA_MTENANT_RUNTIME_HH
@@ -210,10 +212,6 @@ class MTenantRuntime
     MTenantReport run();
 
   private:
-    /** 1-tenant delegation to serve::ServeRuntime (byte-identical
-     * serve report). */
-    MTenantReport runSingle();
-
     std::vector<TenantWorkload> workloads_;
     arch::HwConfig hw_;
     core::SchedulerConfig schedCfg_;

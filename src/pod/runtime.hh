@@ -30,10 +30,16 @@
  * queueLimit) sheds at the front door instead of letting queues
  * collapse the survivors.
  *
- * A 1-chip, 1-model pod delegates to serve::ServeRuntime verbatim,
- * so its serve report (and JSON bytes) is identical to the
- * single-chip path — the equivalence gate that pins the pod layer as
- * a pure extension.
+ * Every chip runs the shared serve::Backend (the same back-end
+ * serve::ServeRuntime and each multi-tenant tenant run on); the pod
+ * keeps only the router, the interconnect, the reliability layer, and
+ * its own repair decisions. A 1-chip, 1-model pod is *defined* as a
+ * bare chip — no router, no interconnect — and runs through
+ * serve::ServeRuntime (runSingle). It is not a duplicate of the K-chip
+ * path: that path would charge the interconnect weight stream and
+ * request delivery, and K=1 is the denominator of the scale-out
+ * gate. Its serve report (and JSON bytes) is therefore identical to
+ * the single-chip path.
  */
 
 #ifndef ADYNA_POD_RUNTIME_HH
@@ -350,8 +356,10 @@ class PodRuntime
     PodReport run();
 
   private:
-    /** 1-chip, 1-model delegation to serve::ServeRuntime
-     * (byte-identical serve report). */
+    /** A 1-chip, 1-model pod: a bare chip served by
+     * serve::ServeRuntime, with no router and no interconnect to
+     * charge (see the file comment for why this is not the K-chip
+     * loop at K=1). */
     PodReport runSingle();
 
     std::vector<PodWorkload> workloads_;

@@ -18,6 +18,10 @@
  * (partial batches are padded, like a fixed-shape compiled engine),
  * while dynamic operators see only the actually-routed load — which
  * makes the batching policy a real latency/throughput trade-off.
+ *
+ * ServeRuntime is one serve::Backend fed by one serve::RequestSource
+ * (backend.hh) on its own chip — the same back-end the multi-tenant
+ * and pod runtimes run per tenant and per chip.
  */
 
 #ifndef ADYNA_SERVE_SERVER_HH

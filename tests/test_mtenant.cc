@@ -17,6 +17,7 @@
 
 #include "arch/noc.hh"
 #include "baselines/designs.hh"
+#include "costmodel/mapper.hh"
 #include "fault/fault.hh"
 #include "graph/parser.hh"
 #include "kernels/store_cache.hh"
@@ -355,6 +356,204 @@ TEST(MTenantRuntime, FaultInOneRegionRepairsOnlyStruckTenants)
     EXPECT_TRUE((failovers0 > 0) != (failovers1 > 0))
         << "failovers: " << failovers0 << " / " << failovers1;
     EXPECT_EQ(r.failoverRepairs, failovers0 + failovers1);
+}
+
+// ------------------------------------------- shared serving back-end
+
+/** A drifting PABEE workload: its dynamism distribution moves every
+ * 700 requests, so a sensitive detector re-schedules. */
+struct DriftingWorkload : TestWorkload
+{
+    DriftingWorkload() : TestWorkload("pabee", 8)
+    {
+        tc.driftStrength = 0.9;
+        tc.driftPeriod = 700;
+    }
+};
+
+/** Serve config with a sensitive drift detector over @p requests. */
+serve::ServeConfig
+driftServeConfig(std::uint64_t seed, unsigned requests)
+{
+    serve::ServeConfig sc = smokeServeConfig(seed, requests);
+    sc.arrival.ratePerSec = 2e5;
+    sc.slo.deadlineMs = 4.0;
+    sc.drift.windowRequests = 200;
+    sc.drift.noiseMultiplier = 1.0;
+    sc.drift.threshold = 0.2;
+    return sc;
+}
+
+TEST(MTenantRuntime, SingleTenantMatchesServeRuntimeUnderFaults)
+{
+    // The 1-tenant run goes through the N-tenant loop, so this pins
+    // its fail-over, admission, watchdog and delta-re-schedule paths
+    // against ServeRuntime's.
+    DriftingWorkload w;
+    const arch::HwConfig hw;
+    const auto schedCfg =
+        baselines::schedulerConfig(baselines::Design::Adyna);
+    const auto policy = baselines::execPolicy(baselines::Design::Adyna);
+    serve::ServeConfig sc = driftServeConfig(11, 1600);
+    sc.arrival.ratePerSec = 7000;
+    sc.admissionControl = true;
+    sc.shedLatencyFactor = 1.0;
+    sc.rescheduleBudgetCycles = 40'000'000;
+    const std::string plan = "tile_fail@20000000:tile=17;"
+                             "tile_fail@60000000:tile=40,"
+                             "duration=40000000";
+
+    serve::ServeConfig direct_sc = sc;
+    direct_sc.faultPlan = fault::parseFaultPlanOrDie(plan);
+    serve::ServeRuntime direct(w.dg, w.tc, hw, schedCfg, policy,
+                               direct_sc, "pabee");
+    kernels::KernelStoreCache directStores;
+    direct.setSharedStoreCache(&directStores);
+    const serve::ServeReport want = direct.run();
+    ASSERT_GT(want.failovers, 0);
+    ASSERT_GT(want.deltaReschedules, 0);
+    ASSERT_GT(want.shedRequests, 0u);
+    ASSERT_TRUE(want.faultActive);
+
+    MTenantConfig mc;
+    mc.faultPlan = fault::parseFaultPlanOrDie(plan);
+    serve::TenantSpec ts;
+    ts.id = "solo";
+    ts.serve = sc;
+    mc.tenants.push_back(ts);
+    MTenantRuntime rt({{&w.dg, w.tc, "pabee"}}, hw, schedCfg, policy,
+                      mc);
+    kernels::KernelStoreCache viaStores;
+    rt.setSharedStoreCache(&viaStores);
+    const MTenantReport mr = rt.run();
+
+    ASSERT_EQ(mr.tenants.size(), 1u);
+    EXPECT_EQ(serve::toJson(mr.tenants[0].serve), serve::toJson(want));
+    EXPECT_EQ(mr.failoverRepairs, want.failovers);
+    EXPECT_EQ(mr.repartitions, 0);
+    EXPECT_EQ(mr.interferenceLinks, 0);
+}
+
+TEST(MTenantRuntime, SearchOnDriftRunsPerTenant)
+{
+    static DriftingWorkload drifting;
+    static TestWorkload steady("skipnet", 8);
+    const arch::HwConfig hw;
+    const Cycles budget = 40'000'000;
+
+    MTenantConfig mc;
+    serve::TenantSpec a;
+    a.id = "pabee-drift";
+    a.serve = driftServeConfig(11, 1600);
+    a.serve.rescheduleBudgetCycles = budget;
+    a.serve.searchOnDrift = true;
+    a.serve.search.chains = 2;
+    a.serve.search.mutationBudget = 200;
+    a.serve.search.materializeTop = 2;
+    mc.tenants.push_back(a);
+    serve::TenantSpec b;
+    b.id = "skipnet-0";
+    b.serve = smokeServeConfig(5, 200);
+    b.serve.arrival.ratePerSec = 1e5;
+    mc.tenants.push_back(b);
+
+    MTenantRuntime rt({{&drifting.dg, drifting.tc, "pabee"},
+                       {&steady.dg, steady.tc, "skipnet"}},
+                      hw,
+                      baselines::schedulerConfig(baselines::Design::Adyna),
+                      baselines::execPolicy(baselines::Design::Adyna),
+                      mc);
+    kernels::KernelStoreCache stores;
+    rt.setSharedStoreCache(&stores);
+    const MTenantReport r = rt.run();
+
+    ASSERT_EQ(r.tenants.size(), 2u);
+    const serve::ServeReport &d = r.tenants[0].serve;
+    ASSERT_GT(d.reschedules, 0) << "drift must trigger";
+    EXPECT_TRUE(d.searchActive);
+    EXPECT_GT(d.search.candidatesTried, 0u);
+    EXPECT_NE(serve::toJson(d).find("\"search_reschedules\""),
+              std::string::npos);
+    EXPECT_LE(d.maxRescheduleCycles, budget);
+    // The search-off tenant keeps the pre-search report bytes.
+    EXPECT_EQ(serve::toJson(r.tenants[1].serve).find("search_"),
+              std::string::npos);
+}
+
+TEST(MTenantRuntime, BackEndCacheCountersPartitionTheSharedCaches)
+{
+    static TestWorkload wa("skipnet", 8);
+    static TestWorkload wb("pabee", 8);
+    static TestWorkload wc("skipnet", 8);
+    const arch::HwConfig hw;
+
+    MTenantConfig mc;
+    for (int i = 0; i < 3; ++i) {
+        serve::TenantSpec ts;
+        ts.id = "t" + std::to_string(i);
+        ts.serve = smokeServeConfig(3 + i, 120);
+        mc.tenants.push_back(ts);
+    }
+    MTenantRuntime rt({{&wa.dg, wa.tc, "skipnet"},
+                       {&wb.dg, wb.tc, "pabee"},
+                       {&wc.dg, wc.tc, "skipnet"}},
+                      hw,
+                      baselines::schedulerConfig(baselines::Design::Adyna),
+                      baselines::execPolicy(baselines::Design::Adyna),
+                      mc);
+    costmodel::Mapper mapper(hw.tech);
+    kernels::KernelStoreCache stores;
+    rt.setSharedMapper(&mapper);
+    rt.setSharedStoreCache(&stores);
+    const MTenantReport r = rt.run();
+
+    std::uint64_t mapperSum = 0;
+    std::uint64_t storeSum = 0;
+    for (const TenantResult &tr : r.tenants) {
+        mapperSum += tr.serve.mapperHits + tr.serve.mapperMisses;
+        storeSum += tr.serve.storeHits + tr.serve.storeMisses;
+    }
+    EXPECT_GT(mapperSum, 0u);
+    EXPECT_GT(storeSum, 0u);
+    EXPECT_EQ(mapperSum, mapper.hits() + mapper.misses());
+    EXPECT_EQ(storeSum, stores.hits() + stores.misses());
+}
+
+TEST(MTenantRuntime, WorkloadCountMismatchIsFatal)
+{
+    static TestWorkload w("skipnet", 8);
+    MTenantConfig mc;
+    for (int i = 0; i < 2; ++i) {
+        serve::TenantSpec ts;
+        ts.id = "t" + std::to_string(i);
+        ts.serve = smokeServeConfig(1, 10);
+        mc.tenants.push_back(ts);
+    }
+    EXPECT_EXIT(MTenantRuntime({{&w.dg, w.tc, "skipnet"}},
+                               arch::HwConfig{},
+                               baselines::schedulerConfig(
+                                   baselines::Design::Adyna),
+                               baselines::execPolicy(
+                                   baselines::Design::Adyna),
+                               mc),
+                ::testing::ExitedWithCode(1), "one TenantWorkload");
+}
+
+TEST(MTenantRuntime, BatchSizeMismatchIsFatal)
+{
+    static TestWorkload w("skipnet", 8);
+    MTenantConfig mc;
+    serve::TenantSpec ts;
+    ts.id = "solo";
+    ts.serve = smokeServeConfig(1, 10);
+    ts.serve.batching.maxBatch = 4; // the graph is compiled at 8
+    mc.tenants.push_back(ts);
+    MTenantRuntime rt({{&w.dg, w.tc, "skipnet"}}, arch::HwConfig{},
+                      baselines::schedulerConfig(baselines::Design::Adyna),
+                      baselines::execPolicy(baselines::Design::Adyna),
+                      mc);
+    EXPECT_EXIT(rt.run(), ::testing::ExitedWithCode(1),
+                "compiled at the batcher's maxBatch");
 }
 
 } // namespace

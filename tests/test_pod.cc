@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "baselines/designs.hh"
+#include "costmodel/mapper.hh"
 #include "fault/fault.hh"
 #include "graph/parser.hh"
 #include "kernels/store_cache.hh"
@@ -750,6 +751,127 @@ TEST(PodRuntime, RoundRobinSpreadsArrivalsEvenly)
     }
     EXPECT_LE(hi - lo, 1u);
     EXPECT_EQ(r.requests, 240u);
+}
+
+// ------------------------------------------- shared serving back-end
+
+TEST(PodRuntime, SearchOnDriftRunsPerChip)
+{
+    static TestWorkload w("pabee", 8);
+    trace::TraceConfig tc = w.tc;
+    tc.driftStrength = 0.9;
+    tc.driftPeriod = 700;
+    const Cycles budget = 40'000'000;
+
+    PodConfig pc;
+    pc.chips = 2;
+    pc.serve = smokeServeConfig(11, 2400);
+    pc.serve.arrival.ratePerSec = 4e5;
+    pc.serve.slo.deadlineMs = 4.0;
+    pc.serve.drift.windowRequests = 200;
+    pc.serve.drift.noiseMultiplier = 1.0;
+    pc.serve.drift.threshold = 0.2;
+    pc.serve.rescheduleBudgetCycles = budget;
+    pc.serve.searchOnDrift = true;
+    pc.serve.search.chains = 2;
+    pc.serve.search.mutationBudget = 200;
+    pc.serve.search.materializeTop = 2;
+    const PodReport r = runPod(pc, {{&w.dg, tc, "pabee", 1.0}});
+
+    ASSERT_EQ(r.chips.size(), 2u);
+    int drifting = 0;
+    for (const ChipResult &c : r.chips) {
+        EXPECT_TRUE(c.serve.searchActive);
+        EXPECT_NE(serve::toJson(c.serve).find("\"search_reschedules\""),
+                  std::string::npos);
+        EXPECT_LE(c.serve.maxRescheduleCycles, budget);
+        if (c.serve.reschedules > 0) {
+            ++drifting;
+            EXPECT_GT(c.serve.search.candidatesTried, 0u);
+        }
+    }
+    EXPECT_GT(drifting, 0) << "drift must trigger on some chip";
+}
+
+TEST(PodRuntime, BackEndCacheCountersPartitionTheSharedCaches)
+{
+    static TestWorkload w("skipnet", 8);
+    PodConfig pc;
+    pc.chips = 4;
+    pc.serve = smokeServeConfig(7, 400);
+    PodRuntime rt({{&w.dg, w.tc, "skipnet", 1.0}}, arch::HwConfig{},
+                  baselines::schedulerConfig(baselines::Design::Adyna),
+                  baselines::execPolicy(baselines::Design::Adyna), pc);
+    costmodel::Mapper mapper(arch::HwConfig{}.tech);
+    kernels::KernelStoreCache stores;
+    rt.setSharedMapper(&mapper);
+    rt.setSharedStoreCache(&stores);
+    const PodReport r = rt.run();
+
+    ASSERT_EQ(r.chips.size(), 4u);
+    std::uint64_t mapperSum = 0;
+    std::uint64_t storeSum = 0;
+    for (const ChipResult &c : r.chips) {
+        mapperSum += c.serve.mapperHits + c.serve.mapperMisses;
+        storeSum += c.serve.storeHits + c.serve.storeMisses;
+    }
+    EXPECT_GT(mapperSum, 0u);
+    EXPECT_GT(storeSum, 0u);
+    EXPECT_EQ(mapperSum, mapper.hits() + mapper.misses());
+    EXPECT_EQ(storeSum, stores.hits() + stores.misses());
+}
+
+/** Constructs (and, for checks made at run time, runs) a skipnet pod
+ * from @p pc; used by the fatal-config tests. */
+void
+buildAndRunPod(PodConfig pc)
+{
+    static TestWorkload w("skipnet", 8);
+    (void)runPod(std::move(pc), {{&w.dg, w.tc, "skipnet", 1.0}});
+}
+
+TEST(PodRuntime, FaultOnChipOutsidePodIsFatal)
+{
+    PodConfig pc;
+    pc.chips = 2;
+    pc.serve = smokeServeConfig(1, 10);
+    pc.faultPlan = fault::parseFaultPlanOrDie("chip_fail@1000:chip=5");
+    EXPECT_EXIT(buildAndRunPod(pc), ::testing::ExitedWithCode(1),
+                "targets chip 5 of a 2-chip pod");
+}
+
+TEST(PodRuntime, HedgingWithoutReRoutingIsFatal)
+{
+    PodConfig pc;
+    pc.chips = 2;
+    pc.serve = smokeServeConfig(1, 10);
+    pc.router.reRouteOnFailure = false;
+    pc.reliability.hedging = true;
+    EXPECT_EXIT(buildAndRunPod(pc), ::testing::ExitedWithCode(1),
+                "hedging needs the adaptive router");
+}
+
+TEST(PodRuntime, BatchSizeMismatchIsFatal)
+{
+    for (int chips : {1, 2}) {
+        PodConfig pc;
+        pc.chips = chips;
+        pc.serve = smokeServeConfig(1, 10);
+        pc.serve.batching.maxBatch = 4; // the graph is compiled at 8
+        EXPECT_EXIT(buildAndRunPod(pc), ::testing::ExitedWithCode(1),
+                    "compiled at the batcher's maxBatch")
+            << chips << " chip(s)";
+    }
+}
+
+TEST(PodRuntime, ChipFaultPlanCountMismatchIsFatal)
+{
+    PodConfig pc;
+    pc.chips = 2;
+    pc.serve = smokeServeConfig(1, 10);
+    pc.chipFaultPlans.resize(3);
+    EXPECT_EXIT(buildAndRunPod(pc), ::testing::ExitedWithCode(1),
+                "one plan per chip");
 }
 
 } // namespace
