@@ -156,28 +156,38 @@ computeCyclesPerRow(const LoopDims &per_tile, const TechParams &tech)
         std::min({plain, foldS, foldRS}));
 }
 
-KernelCost
-evalKernel(const graph::OpNode &op, const Mapping &mapping,
-           std::int64_t actual_n, bool fitting, const TechParams &tech)
+Bytes
+spadFootprint(const graph::OpNode &op, const LoopDims &block,
+              int weight_split)
+{
+    const Bytes weights =
+        graph::isCompute(op.kind)
+            ? static_cast<Bytes>(ceilDiv(
+                  static_cast<std::int64_t>(op.weightBytes()),
+                  weight_split))
+            : 0;
+    return weights +
+           2 * (inputBlockBytes(block, op.stride, op.dtypeBytes) +
+                outputBlockBytes(block, op.dtypeBytes));
+}
+
+KernelShape
+kernelShape(const graph::OpNode &op, const Mapping &mapping,
+            std::int64_t actual_n, bool fitting, const TechParams &tech)
 {
     const LoopDims &compiled = mapping.compiledDims;
-    ADYNA_ASSERT(actual_n >= 0, "negative actual_n");
-    ADYNA_ASSERT(compiled.valid(), "invalid compiled dims for op '",
-                 op.name, "'");
-
-    KernelCost cost;
-    if (actual_n == 0 && fitting)
-        return cost; // nothing to do
+    KernelShape shape;
 
     // --- per-tile execution extents ---------------------------------
     const int fN = mapping.splitFactor(Dim::N);
     const std::int64_t chunkN = ceilDiv(compiled.n(), fN);
-    const std::int64_t execNTotal = fitting ? actual_n : compiled.n();
+    shape.execN = fitting ? actual_n : compiled.n();
     // Makespan tile: with an N-split, the first tile processes a full
     // chunk unless the actual value is smaller than one chunk.
-    const std::int64_t perTileN = std::min(chunkN, execNTotal);
+    const std::int64_t perTileN = std::min(chunkN, shape.execN);
 
-    LoopDims perTile = compiled;
+    LoopDims &perTile = shape.perTile;
+    perTile = compiled;
     perTile[Dim::N] = perTileN;
     for (const SpatialSplit &s : mapping.splits) {
         if (s.dim == Dim::N)
@@ -187,15 +197,15 @@ evalKernel(const graph::OpNode &op, const Mapping &mapping,
 
     const bool compute = graph::isCompute(op.kind);
     if (compute) {
-        cost.cycles = static_cast<Cycles>(
+        shape.cycles = static_cast<Cycles>(
             static_cast<double>(perTile.n()) *
             computeCyclesPerRow(perTile, tech));
         // Fused epilogue ops ride along in the pipeline: no extra
         // cycles charged (Section VI-B).
     } else {
         const std::int64_t elems =
-            execNTotal * compiled.k() * compiled.p() * compiled.q();
-        cost.cycles = vectorOpCycles(elems, mapping.tiles, tech);
+            shape.execN * compiled.k() * compiled.p() * compiled.q();
+        shape.cycles = vectorOpCycles(elems, mapping.tiles, tech);
     }
 
     // --- MAC accounting ----------------------------------------------
@@ -203,13 +213,33 @@ evalKernel(const graph::OpNode &op, const Mapping &mapping,
                                   compiled.p() * compiled.q() *
                                   compiled.r() * compiled.s();
     if (compute) {
-        cost.usefulMacs = static_cast<MacCount>(
+        shape.usefulMacs = static_cast<MacCount>(
             std::min(actual_n, compiled.n()) * restMacs);
-        cost.issuedMacs =
-            static_cast<MacCount>(execNTotal * restMacs);
+        shape.issuedMacs =
+            static_cast<MacCount>(shape.execN * restMacs);
     }
 
+    // --- scratchpad footprint -----------------------------------------
+    shape.spadFootprint = spadFootprint(
+        op, mapping.spadBlock, mapping.splitFactor(Dim::K));
+    return shape;
+}
+
+KernelCost
+kernelCost(const graph::OpNode &op, const Mapping &mapping,
+           const KernelShape &shape, const TechParams &tech)
+{
+    const LoopDims &compiled = mapping.compiledDims;
+    const LoopDims &perTile = shape.perTile;
+
+    KernelCost cost;
+    cost.cycles = shape.cycles;
+    cost.usefulMacs = shape.usefulMacs;
+    cost.issuedMacs = shape.issuedMacs;
+    cost.spadFootprint = shape.spadFootprint;
+
     // --- scratchpad traffic (array-level reuse) -----------------------
+    const bool compute = graph::isCompute(op.kind);
     if (compute) {
         LoopDims arrayBlock;
         arrayBlock[Dim::N] = 1;
@@ -228,13 +258,13 @@ evalKernel(const graph::OpNode &op, const Mapping &mapping,
             static_cast<Bytes>(sram.total()) * mapping.tiles;
     } else {
         const std::int64_t elems =
-            execNTotal * compiled.k() * compiled.p() * compiled.q();
+            shape.execN * compiled.k() * compiled.p() * compiled.q();
         cost.sramBytes = static_cast<Bytes>(2 * elems) * op.dtypeBytes;
     }
 
     // --- DRAM spill traffic beyond single passes ----------------------
     // Weights are pinned in the scratchpad for the whole execution
-    // (the footprint below reserves them; the scheduler streams them
+    // (the footprint reserves them; the scheduler streams them
     // separately when they do not fit), so only activation blocks
     // can incur re-streaming: clamp the weight dims of the DRAM-level
     // blocking up to the full per-tile extents.
@@ -278,25 +308,25 @@ evalKernel(const graph::OpNode &op, const Mapping &mapping,
         cost.dramSpillBytes = spill * mapping.tiles;
     }
 
-    // --- scratchpad footprint -----------------------------------------
-    const int fK = mapping.splitFactor(Dim::K);
-    const Bytes perTileWeights = compute
-                                     ? static_cast<Bytes>(ceilDiv(
-                                           static_cast<std::int64_t>(
-                                               op.weightBytes()),
-                                           fK))
-                                     : 0;
-    const Bytes blockIn =
-        inputBlockBytes(mapping.spadBlock, op.stride, op.dtypeBytes);
-    const Bytes blockOut =
-        outputBlockBytes(mapping.spadBlock, op.dtypeBytes);
-    cost.spadFootprint = perTileWeights + 2 * (blockIn + blockOut);
-
     // --- energy --------------------------------------------------------
     cost.computeEnergyPj =
         tech.eMacPj * static_cast<double>(cost.issuedMacs) +
         tech.eSramPerBytePj * static_cast<double>(cost.sramBytes);
     return cost;
+}
+
+KernelCost
+evalKernel(const graph::OpNode &op, const Mapping &mapping,
+           std::int64_t actual_n, bool fitting, const TechParams &tech)
+{
+    ADYNA_ASSERT(actual_n >= 0, "negative actual_n");
+    ADYNA_ASSERT(mapping.compiledDims.valid(),
+                 "invalid compiled dims for op '", op.name, "'");
+    if (actual_n == 0 && fitting)
+        return KernelCost{}; // nothing to do
+    return kernelCost(op, mapping,
+                      kernelShape(op, mapping, actual_n, fitting, tech),
+                      tech);
 }
 
 } // namespace adyna::costmodel

@@ -74,11 +74,14 @@ struct KernelCost
     /** Energy of compute + SRAM traffic (pJ); DRAM and NoC energy
      * are charged by the simulator where the traffic happens. */
     PicoJoules computeEnergyPj = 0.0;
+
+    bool operator==(const KernelCost &other) const = default;
 };
 
 /**
  * Evaluate executing @p op with @p mapping at actual batch extent
- * @p actual_n.
+ * @p actual_n: kernelCost() of kernelShape(), or a zero cost when
+ * fitting clamps the kernel to an empty batch.
  *
  * @param fitting true = runtime kernel fitting clamps loop bounds to
  *        the actual value (Adyna); false = the kernel executes its
@@ -87,6 +90,50 @@ struct KernelCost
 KernelCost evalKernel(const graph::OpNode &op, const Mapping &mapping,
                       std::int64_t actual_n, bool fitting,
                       const TechParams &tech);
+
+/**
+ * The part of a kernel's cost that does not depend on the DRAM-level
+ * loop order: for one op and batch extent, it follows from the
+ * spatial split and the scratchpad block alone.
+ */
+struct KernelShape
+{
+    /** Loop extents of the makespan tile. */
+    graph::LoopDims perTile;
+
+    /** Batch rows the whole tile group executes. */
+    std::int64_t execN = 0;
+
+    Cycles cycles = 0;
+    MacCount usefulMacs = 0;
+    MacCount issuedMacs = 0;
+    Bytes spadFootprint = 0;
+};
+
+/**
+ * Order-independent shape of executing @p op with @p mapping at
+ * @p actual_n, with the same @p fitting meaning as evalKernel().
+ * Requires actual_n > 0 when fitting (evalKernel() handles the empty
+ * batch itself).
+ */
+KernelShape kernelShape(const graph::OpNode &op, const Mapping &mapping,
+                        std::int64_t actual_n, bool fitting,
+                        const TechParams &tech);
+
+/**
+ * Full cost of @p mapping given its @p shape: the shape's fields plus
+ * the traffic under mapping.order (SRAM bytes, DRAM spill, energy).
+ */
+KernelCost kernelCost(const graph::OpNode &op, const Mapping &mapping,
+                      const KernelShape &shape, const TechParams &tech);
+
+/**
+ * Per-tile scratchpad footprint of @p op's weights split @p
+ * weight_split ways plus a double-buffered input and output block of
+ * extents @p block.
+ */
+Bytes spadFootprint(const graph::OpNode &op, const graph::LoopDims &block,
+                    int weight_split);
 
 /**
  * Cycles a zero-MAC vector operator (standalone Act / Pool / Norm /

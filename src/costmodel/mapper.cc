@@ -35,9 +35,10 @@ factorPairs(int t)
     return out;
 }
 
-/** Candidate spatial splits over {N, K, P} totalling exactly tiles. */
+} // namespace
+
 std::vector<std::vector<SpatialSplit>>
-splitCandidates(const LoopDims &dims, int tiles)
+splitCandidates(int tiles)
 {
     const Dim spatialDims[3] = {Dim::N, Dim::K, Dim::P};
     std::vector<std::vector<SpatialSplit>> out;
@@ -45,10 +46,8 @@ splitCandidates(const LoopDims &dims, int tiles)
         out.push_back({});
         return out;
     }
-    for (Dim d : spatialDims) {
-        (void)dims;
+    for (Dim d : spatialDims)
         out.push_back({SpatialSplit{d, tiles}});
-    }
     for (Dim d1 : spatialDims) {
         for (Dim d2 : spatialDims) {
             if (d1 == d2)
@@ -64,42 +63,19 @@ splitCandidates(const LoopDims &dims, int tiles)
     return out;
 }
 
-/**
- * Pick the largest scratchpad blocking that fits the buffer budget:
- * start from full per-tile extents and shrink N, then P, then K
- * until the double-buffered working set plus resident weights fit.
- */
 LoopDims
 chooseSpadBlock(const graph::OpNode &op, const LoopDims &per_tile,
                 int weight_split, Bytes budget)
 {
     LoopDims block = per_tile;
-    const auto footprint = [&](const LoopDims &b) {
-        const std::int64_t ih = (b.p() - 1) * op.stride + b.r();
-        const std::int64_t iw = (b.q() - 1) * op.stride + b.s();
-        const Bytes in =
-            static_cast<Bytes>(b.n() * b.c() * ih * iw) * op.dtypeBytes;
-        const Bytes outb =
-            static_cast<Bytes>(b.n() * b.k() * b.p() * b.q()) *
-            op.dtypeBytes;
-        const Bytes weights =
-            graph::isCompute(op.kind)
-                ? static_cast<Bytes>(
-                      ceilDiv(static_cast<std::int64_t>(op.weightBytes()),
-                              weight_split))
-                : 0;
-        return weights + 2 * (in + outb);
-    };
-
     const Dim shrinkOrder[3] = {Dim::N, Dim::P, Dim::K};
     for (Dim d : shrinkOrder) {
-        while (footprint(block) > budget && block[d] > 1)
+        while (spadFootprint(op, block, weight_split) > budget &&
+               block[d] > 1)
             block[d] = ceilDiv(block[d], 2);
     }
     return block;
 }
-
-} // namespace
 
 Mapper::Mapper(TechParams tech) : tech_(tech) {}
 
@@ -148,26 +124,53 @@ Mapper::searchUncached(const graph::OpNode &op, std::int64_t n,
         static_cast<double>(tech_.spadBytes) *
         (1.0 - tech_.kernelSpadFraction));
 
+    // Pass 1: block and price every split once. Feasibility and
+    // cycles do not depend on the loop order, so this finds the best
+    // (feasible, cycles) rank any candidate can reach.
+    struct Priced
+    {
+        Mapping m;
+        KernelShape shape;
+        bool feasible;
+    };
+    const auto rank = [](const Priced &p) {
+        return std::pair<bool, Cycles>{!p.feasible, p.shape.cycles};
+    };
+    std::vector<std::vector<SpatialSplit>> candidates =
+        splitCandidates(tiles);
+    std::vector<Priced> priced;
+    priced.reserve(candidates.size());
+    for (auto &splits : candidates) {
+        Priced p;
+        p.m.compiledDims = dims;
+        p.m.tiles = tiles;
+        p.m.splits = std::move(splits);
+        p.m.spadBlock = chooseSpadBlock(op, p.m.perTileDims(),
+                                        p.m.splitFactor(Dim::K), budget);
+        p.shape = kernelShape(op, p.m, n, /*fitting=*/true, tech_);
+        p.feasible = p.shape.spadFootprint <= budget;
+        priced.push_back(std::move(p));
+    }
+    std::pair<bool, Cycles> bestRank = rank(priced.front());
+    for (const Priced &p : priced)
+        bestRank = std::min(bestRank, rank(p));
+
+    // Pass 2: the first strict minimum over (feasible, cycles, DRAM
+    // spill, SRAM bytes) in split-major, order-minor sequence. Only
+    // splits at the best rank can hold it, and among them the same
+    // comparator visits the same candidates in the same order.
     Mapping best;
     bool haveBest = false;
     bool bestFeasible = false;
     KernelCost bestCost;
 
-    for (const auto &splits : splitCandidates(dims, tiles)) {
+    for (Priced &p : priced) {
+        if (rank(p) > bestRank)
+            continue;
         for (int o = 0; o < kNumLoopOrders; ++o) {
-            Mapping m;
-            m.compiledDims = dims;
-            m.tiles = tiles;
-            m.splits = splits;
-            m.order = static_cast<LoopOrder>(o);
-
-            LoopDims perTile = m.perTileDims();
-            m.spadBlock = chooseSpadBlock(
-                op, perTile, m.splitFactor(Dim::K), budget);
-
-            const KernelCost cost =
-                evalKernel(op, m, n, /*fitting=*/true, tech_);
-            const bool feasible = cost.spadFootprint <= budget;
+            p.m.order = static_cast<LoopOrder>(o);
+            const KernelCost cost = kernelCost(op, p.m, p.shape, tech_);
+            const bool feasible = p.feasible;
 
             const auto better = [&]() {
                 if (!haveBest)
@@ -181,7 +184,7 @@ Mapper::searchUncached(const graph::OpNode &op, std::int64_t n,
                 return cost.sramBytes < bestCost.sramBytes;
             };
             if (better()) {
-                best = m;
+                best = p.m;
                 bestCost = cost;
                 haveBest = true;
                 bestFeasible = feasible;

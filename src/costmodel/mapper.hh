@@ -5,8 +5,12 @@
  * generation" level). The search space is the spatial split of up to
  * two dims across the tiles, the DRAM-level loop order, and the
  * scratchpad blocking; the objective is makespan cycles, then DRAM
- * spills, then SRAM traffic. Results are memoized: the scheduler
- * asks for the same (op, value, tiles) triple many times.
+ * spills, then SRAM traffic. Feasibility and cycles depend only on
+ * the split, so the search prices each split once and evaluates loop
+ * orders only for the splits that reach the best (feasible, cycles)
+ * pair; the result equals the exhaustive split x order scan.
+ * Results are memoized: the scheduler asks for the same
+ * (op, value, tiles) triple many times.
  *
  * The memo cache is thread-safe (reader/writer lock), so one Mapper
  * can be shared across the concurrent runs of a bench sweep and the
@@ -24,6 +28,7 @@
 #include <map>
 #include <shared_mutex>
 #include <tuple>
+#include <vector>
 
 #include "costmodel/cost.hh"
 #include "costmodel/mapping.hh"
@@ -31,6 +36,24 @@
 #include "graph/op.hh"
 
 namespace adyna::costmodel {
+
+/**
+ * Candidate spatial splits of a @p tiles-tile group over {N, K, P}:
+ * the empty split for one tile, else each dim split @p tiles ways,
+ * then every ordered pair of distinct dims split a x b ways with
+ * a * b == tiles and a, b > 1.
+ */
+std::vector<std::vector<SpatialSplit>> splitCandidates(int tiles);
+
+/**
+ * Largest scratchpad blocking of @p per_tile that fits @p budget
+ * (spadFootprint() with weights split @p weight_split ways): start
+ * from the full per-tile extents and halve N, then P, then K until
+ * the footprint fits or the dims reach 1.
+ */
+graph::LoopDims chooseSpadBlock(const graph::OpNode &op,
+                                const graph::LoopDims &per_tile,
+                                int weight_split, Bytes budget);
 
 /** Memoizing mapping search engine. */
 class Mapper
@@ -40,10 +63,12 @@ class Mapper
 
     /**
      * Best mapping for @p op executed at batch extent @p n on
-     * @p tiles tiles. Feasible (scratchpad-fitting) mappings are
-     * preferred; if none fits (oversized weights), the smallest-
-     * footprint mapping is returned and the caller must stream
-     * weights.
+     * @p tiles tiles: feasible (scratchpad-fitting) mappings first,
+     * then fewest cycles, then least DRAM spill, then least SRAM
+     * traffic; ties go to the first candidate in split-major,
+     * loop-order-minor sequence. If no mapping fits (oversized
+     * weights), the same cycles / spill / SRAM order picks among the
+     * infeasible ones and the caller must stream weights.
      */
     Mapping search(const graph::OpNode &op, std::int64_t n, int tiles);
 

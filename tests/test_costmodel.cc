@@ -2,16 +2,23 @@
  * @file
  * Unit tests for the dataflow cost model: the blocked-reuse traffic
  * formulas against hand-computed GEMM cases, compute-cycle ceilings,
- * kernel fitting semantics, mapper search quality, and the Table IV
- * area/power budget.
+ * kernel fitting semantics, mapper search quality and its agreement
+ * with the exhaustive reference search, and the Table IV area/power
+ * budget.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
+#include "common/rng.hh"
 #include "costmodel/area.hh"
 #include "costmodel/cost.hh"
 #include "costmodel/mapper.hh"
 #include "graph/op.hh"
+#include "mapper_oracle.hh"
+#include "models/models.hh"
 
 namespace {
 
@@ -313,6 +320,165 @@ TEST(Mapper, ConvMappingHandlesStride)
     EXPECT_GT(c.cycles, 0u);
     EXPECT_GT(c.usefulMacs, 0u);
     EXPECT_EQ(m.tiles, 9);
+}
+
+/** Searched mapping and cost equal the exhaustive oracle's for @p op
+ * at every (n, tiles) pair. */
+void
+expectSearchMatchesOracle(const OpNode &op,
+                          const std::vector<std::int64_t> &values,
+                          const std::vector<int> &tile_counts)
+{
+    // A fresh mapper per op: the memo key leaves out the op kind, so
+    // a shared one could answer a vector op with a compute op's entry.
+    Mapper mapper(tech());
+    for (std::int64_t n : values) {
+        for (int tiles : tile_counts) {
+            const auto [got, cost] = mapper.searchWithCost(op, n, tiles);
+            const Mapping want =
+                oracle::exhaustiveMapping(op, n, tiles, tech());
+            EXPECT_TRUE(got == want)
+                << op.name << " " << op.dims.str() << " stride "
+                << op.stride << " n " << n << " tiles " << tiles
+                << ":\n  got  " << got.str() << "\n  want " << want.str();
+            EXPECT_TRUE(cost == evalKernel(op, want, n, true, tech()))
+                << op.name << " n " << n << " tiles " << tiles;
+        }
+    }
+}
+
+const std::vector<std::int64_t> kOracleValues{1, 2, 3, 7, 32, 128};
+
+std::vector<int>
+oracleTileCounts()
+{
+    std::vector<int> out;
+    for (int t = 1; t <= 16; ++t)
+        out.push_back(t);
+    out.push_back(24);
+    out.push_back(36);
+    return out;
+}
+
+TEST(Mapper, SearchMatchesExhaustiveOracle)
+{
+    const std::vector<int> tileCounts = oracleTileCounts();
+
+    // Every distinct schedulable op of the five model graphs (ops
+    // that differ only in N search identically: n replaces it).
+    std::set<std::tuple<bool, std::array<std::int64_t, kNumDims>, int,
+                        int>>
+        seen;
+    for (const std::string &name : models::workloadNames()) {
+        const models::ModelBundle bundle = models::buildByName(name, 128);
+        for (const OpNode &op : bundle.graph.nodes()) {
+            if (!isCompute(op.kind) && !isFusable(op.kind))
+                continue;
+            if (!op.dims.valid())
+                continue;
+            auto ext = op.dims.ext;
+            ext[0] = 0;
+            if (!seen.emplace(isCompute(op.kind), ext, op.stride,
+                              op.dtypeBytes)
+                     .second)
+                continue;
+            expectSearchMatchesOracle(op, kOracleValues, tileCounts);
+        }
+    }
+    EXPECT_GT(seen.size(), 20u);
+
+    // Seeded random ops: strided convs, matmuls, vector ops, and
+    // weights too large to fit the scratchpad at any split.
+    const Bytes budget = static_cast<Bytes>(
+        static_cast<double>(tech().spadBytes) *
+        (1.0 - tech().kernelSpadFraction));
+    Rng rng(20250301);
+    const OpKind vectorKinds[] = {OpKind::Act, OpKind::Pool,
+                                  OpKind::Norm, OpKind::Softmax,
+                                  OpKind::Eltwise};
+    const std::int64_t filters[] = {1, 3, 5, 7};
+    for (int i = 0; i < 48; ++i) {
+        OpNode op;
+        op.name = "rand" + std::to_string(i);
+        op.dtypeBytes = static_cast<int>(1 << rng.uniformInt(0, 2));
+        switch (i % 4) {
+          case 0: {
+            op.kind = OpKind::Conv2d;
+            const std::int64_t r = filters[rng.uniformInt(0, 3)];
+            op.dims = LoopDims::conv(
+                1, rng.uniformInt(1, 512), rng.uniformInt(1, 512),
+                rng.uniformInt(1, 64), rng.uniformInt(1, 64), r, r);
+            op.stride = static_cast<int>(rng.uniformInt(1, 3));
+            break;
+          }
+          case 1:
+            op.kind = OpKind::MatMul;
+            op.dims = LoopDims::matmul(1, rng.uniformInt(1, 4096),
+                                       rng.uniformInt(1, 4096));
+            break;
+          case 2:
+            op.kind = vectorKinds[rng.uniformInt(0, 4)];
+            op.dims = LoopDims::conv(
+                1, rng.uniformInt(1, 1024), 1, rng.uniformInt(1, 64),
+                rng.uniformInt(1, 64), 1, 1);
+            break;
+          default:
+            // >= 18 MB of weights: over budget even split 36 ways.
+            op.kind = rng.bernoulli(0.5) ? OpKind::MatMul
+                                         : OpKind::Conv2d;
+            op.dtypeBytes = static_cast<int>(2 << rng.uniformInt(0, 1));
+            op.dims = op.kind == OpKind::MatMul
+                          ? LoopDims::matmul(1, rng.uniformInt(4096, 8192),
+                                             rng.uniformInt(4096, 8192))
+                          : LoopDims::conv(1, rng.uniformInt(1024, 2048),
+                                           rng.uniformInt(1024, 2048),
+                                           rng.uniformInt(1, 16),
+                                           rng.uniformInt(1, 16), 3, 3);
+            op.stride = static_cast<int>(rng.uniformInt(1, 2));
+            EXPECT_GT(op.weightBytes() / 36, budget) << op.dims.str();
+            break;
+        }
+        expectSearchMatchesOracle(op, kOracleValues, tileCounts);
+    }
+}
+
+TEST(Mapper, InfeasibleEverywherePicksFewestCyclesNotSmallestFootprint)
+{
+    // 2.25 MB of weights with K = 16: a 4-way K split is the smallest
+    // footprint but leaves the 32-row array no fuller, and even it
+    // overflows the scratchpad. Among infeasible candidates the
+    // search ranks by cycles, then DRAM spill, then SRAM bytes.
+    const TechParams t = tech();
+    const OpNode op = convOp(64, 16, 8192, 14, 14, 3, 3);
+    const int tiles = 4;
+    const Bytes budget = static_cast<Bytes>(
+        static_cast<double>(t.spadBytes) * (1.0 - t.kernelSpadFraction));
+
+    Mapper mapper(t);
+    const auto [m, cost] = mapper.searchWithCost(op, 64, tiles);
+    EXPECT_GT(cost.spadFootprint, budget);
+
+    Bytes minFootprint = ~Bytes{0};
+    for (const auto &splits : splitCandidates(tiles)) {
+        for (int o = 0; o < kNumLoopOrders; ++o) {
+            Mapping c;
+            c.compiledDims = op.dims;
+            c.tiles = tiles;
+            c.splits = splits;
+            c.order = static_cast<LoopOrder>(o);
+            c.spadBlock = chooseSpadBlock(op, c.perTileDims(),
+                                          c.splitFactor(Dim::K), budget);
+            const KernelCost k = evalKernel(op, c, 64, true, t);
+            EXPECT_GT(k.spadFootprint, budget) << c.str();
+            minFootprint = std::min(minFootprint, k.spadFootprint);
+            EXPECT_LE(std::tie(cost.cycles, cost.dramSpillBytes,
+                               cost.sramBytes),
+                      std::tie(k.cycles, k.dramSpillBytes, k.sramBytes))
+                << c.str();
+        }
+    }
+    EXPECT_GT(cost.spadFootprint, minFootprint);
+    EXPECT_EQ(m.splitFactor(Dim::K), 1) << m.str();
 }
 
 // ---------------------------------------------------------- Table IV

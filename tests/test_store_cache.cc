@@ -3,8 +3,9 @@
  * Unit tests for the kernel-store cache: key semantics (what shares
  * an entry and what must not), hit/miss accounting, invalidation via
  * clear(), equality with the compile-from-scratch path, and safe
- * concurrent population through a thread pool (the `concurrency`
- * label marks these worth re-running under -DADYNA_SANITIZE=thread).
+ * concurrent population through a thread pool, of the cache and of
+ * one shared mapper (the `concurrency` label marks these worth
+ * re-running under -DADYNA_SANITIZE=thread).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/parallel.hh"
 #include "costmodel/mapper.hh"
 #include "kernels/store_cache.hh"
+#include "mapper_oracle.hh"
 
 namespace {
 
@@ -191,4 +193,50 @@ TEST(StoreCache, ConcurrentBuildsProduceIdenticalStores)
     // Racers may double-compile a key, but every lookup is counted.
     EXPECT_EQ(cache.hits() + cache.misses(), kTasks);
     EXPECT_GE(cache.hits(), kTasks - 2 * ops.size());
+}
+
+TEST(Mapper, ConcurrentSearchesMatchSerialOracle)
+{
+    // Many threads searching one shared mapper with overlapping keys:
+    // every result must equal the exhaustive oracle's, run serially
+    // beforehand, and every call must count as a hit or a miss.
+    TechParams tech;
+    OpNode conv;
+    conv.kind = OpKind::Conv2d;
+    conv.dims = LoopDims::conv(8, 64, 96, 28, 28, 3, 3);
+    conv.stride = 2;
+    const std::vector<OpNode> ops{matmulOp(128, 512, 256),
+                                  matmulOp(64, 2048, 2048), conv};
+    const std::vector<std::int64_t> values{7, 32};
+    const std::vector<int> tileCounts{1, 6, 12, 16};
+
+    struct Query
+    {
+        const OpNode *op;
+        std::int64_t n;
+        int tiles;
+        Mapping want;
+    };
+    std::vector<Query> queries;
+    for (const OpNode &op : ops)
+        for (std::int64_t n : values)
+            for (int tiles : tileCounts)
+                queries.push_back(
+                    {&op, n, tiles,
+                     oracle::exhaustiveMapping(op, n, tiles, tech)});
+
+    Mapper shared(tech);
+    const std::size_t kCalls = 8 * queries.size();
+    ThreadPool pool(4);
+    std::vector<int> ok(kCalls, 0);
+    pool.parallelFor(kCalls, [&](std::size_t i) {
+        // Stride through the queries so concurrent calls overlap.
+        const Query &q = queries[(i * 7) % queries.size()];
+        ok[i] = shared.search(*q.op, q.n, q.tiles) == q.want ? 1 : 0;
+    });
+
+    for (std::size_t i = 0; i < kCalls; ++i)
+        EXPECT_EQ(ok[i], 1) << "call " << i;
+    EXPECT_EQ(shared.hits() + shared.misses(), kCalls);
+    EXPECT_GE(shared.misses(), queries.size());
 }
