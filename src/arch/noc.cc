@@ -29,12 +29,6 @@ torusDir(int a, int b, int n)
     return (off > 0) - (off < 0);
 }
 
-int
-torusDist(int a, int b, int n)
-{
-    return std::abs(torusOffset(a, b, n));
-}
-
 } // namespace
 
 Noc::Noc(const HwConfig &cfg) : cfg_(cfg)
@@ -46,6 +40,22 @@ Noc::Noc(const HwConfig &cfg) : cfg_(cfg)
     linkDown_.assign(n, 0);
     linkFactor_.assign(n, 1.0);
     const auto cols = static_cast<std::size_t>(cfg_.gridCols);
+    tileRow_.reserve(static_cast<std::size_t>(cfg_.tiles()));
+    tileCol_.reserve(static_cast<std::size_t>(cfg_.tiles()));
+    for (TileId t = 0; t < static_cast<TileId>(cfg_.tiles()); ++t) {
+        tileRow_.push_back(cfg_.tileRow(t));
+        tileCol_.push_back(cfg_.tileCol(t));
+    }
+    const auto offsets = [](int side) {
+        std::vector<int> table;
+        table.reserve(static_cast<std::size_t>(side * side));
+        for (int from = 0; from < side; ++from)
+            for (int to = 0; to < side; ++to)
+                table.push_back(torusOffset(from, to, side));
+        return table;
+    };
+    colOffset_ = offsets(cfg_.gridCols);
+    rowOffset_ = offsets(cfg_.gridRows);
     colSouth_.assign(cols, 0);
     colNorth_.assign(cols, 0);
     scratchCols_.reserve(cols);
@@ -90,10 +100,8 @@ Noc::linkTarget(std::size_t link) const
 int
 Noc::hops(TileId src, TileId dst) const
 {
-    return torusDist(cfg_.tileCol(src), cfg_.tileCol(dst),
-                     cfg_.gridCols) +
-           torusDist(cfg_.tileRow(src), cfg_.tileRow(dst),
-                     cfg_.gridRows);
+    return std::abs(colOffset(tileCol_[src], tileCol_[dst])) +
+           std::abs(rowOffset(tileRow_[src], tileRow_[dst]));
 }
 
 std::vector<std::size_t>
@@ -225,16 +233,38 @@ Noc::route(TileId src, TileId dst) const
 }
 
 des::Reservation
-Noc::acquireLink(std::size_t link, Tick earliest, Bytes bytes)
+Noc::acquireLink(std::size_t link, Tick earliest, Bytes bytes, Tick dur)
 {
-    Bytes effective = bytes;
     if (anyLinkFault_ && linkFactor_[link] < 1.0) {
         // A degraded link moves the same payload at factor x the
         // bandwidth: stretch the reservation by 1/factor.
-        effective = static_cast<Bytes>(std::ceil(
+        const auto effective = static_cast<Bytes>(std::ceil(
             static_cast<double>(bytes) / linkFactor_[link]));
+        return links_[link].acquire(earliest, effective);
     }
-    return links_[link].acquire(earliest, effective);
+    return links_[link].acquire(earliest, bytes, dur);
+}
+
+Tick
+Noc::reserveRun(int row, int col, int dir, int len, Tick earliest,
+                Bytes bytes, Tick dur)
+{
+    const bool alongRow = dir == kLinkEast || dir == kLinkWest;
+    const bool forward = dir == kLinkEast || dir == kLinkSouth;
+    int &at = alongRow ? col : row;
+    const int n = alongRow ? cfg_.gridCols : cfg_.gridRows;
+    Tick latest = earliest;
+    for (int k = 0; k < len; ++k) {
+        const auto here = static_cast<TileId>(row * cfg_.gridCols + col);
+        latest = std::max(
+            latest, acquireLink(linkIndex(here, dir), earliest, bytes,
+                                dur).end);
+        if (forward)
+            at = at + 1 == n ? 0 : at + 1;
+        else
+            at = at == 0 ? n - 1 : at - 1;
+    }
+    return latest;
 }
 
 NocTransfer
@@ -246,12 +276,13 @@ Noc::transfer(Tick earliest, TileId src, TileId dst, Bytes bytes)
         t.end = earliest;
         return t;
     }
+    const Tick dur = links_.front().serviceTime(bytes);
     if (downLinks_ > 0) {
         const auto rt = route(src, dst);
         t.hops = static_cast<int>(rt.size());
         Tick latest = earliest;
         for (std::size_t link : rt) {
-            const auto res = acquireLink(link, earliest, bytes);
+            const auto res = acquireLink(link, earliest, bytes, dur);
             latest = std::max(latest, res.end);
         }
         t.end =
@@ -271,43 +302,26 @@ Noc::transfer(Tick earliest, TileId src, TileId dst, Bytes bytes)
     // Every link up, so the route is X-Y (degraded links only stretch
     // their reservations, inside acquireLink): walk it inline,
     // reserving each link as it is visited, instead of materializing
-    // the path in a heap-allocated vector. Link visit order matches
-    // path() exactly, so reports stay byte-identical.
-    int row = cfg_.tileRow(src);
-    int col = cfg_.tileCol(src);
-    const int dstRow = cfg_.tileRow(dst);
-    const int dstCol = cfg_.tileCol(dst);
-    Tick latest = earliest;
-    int hopCount = 0;
-    while (col != dstCol) {
-        const int dir = torusDir(col, dstCol, cfg_.gridCols);
-        const TileId here =
-            static_cast<TileId>(row * cfg_.gridCols + col);
-        const auto link =
-            linkIndex(here, dir > 0 ? kLinkEast : kLinkWest);
-        latest = std::max(latest,
-                          acquireLink(link, earliest, bytes).end);
-        col = (col + dir + cfg_.gridCols) % cfg_.gridCols;
-        ++hopCount;
-    }
-    while (row != dstRow) {
-        const int dir = torusDir(row, dstRow, cfg_.gridRows);
-        const TileId here =
-            static_cast<TileId>(row * cfg_.gridCols + col);
-        const auto link =
-            linkIndex(here, dir > 0 ? kLinkSouth : kLinkNorth);
-        latest = std::max(latest,
-                          acquireLink(link, earliest, bytes).end);
-        row = (row + dir + cfg_.gridRows) % cfg_.gridRows;
-        ++hopCount;
-    }
-    t.hops = hopCount;
-    t.end = latest + static_cast<Tick>(hopCount) * cfg_.nocHopLatency;
-    t.byteHops = bytes * static_cast<Bytes>(hopCount);
+    // the path in a heap-allocated vector. The X run leaves along the
+    // source row, the Y run follows the destination column; the link
+    // visit order matches path() exactly.
+    const int srcRow = tileRow_[src];
+    const int dstCol = tileCol_[dst];
+    const int dx = colOffset(tileCol_[src], dstCol);
+    const int dy = rowOffset(srcRow, tileRow_[dst]);
+    const Tick latest = std::max(
+        reserveRun(srcRow, tileCol_[src], dx > 0 ? kLinkEast : kLinkWest,
+                   std::abs(dx), earliest, bytes, dur),
+        reserveRun(srcRow, dstCol, dy > 0 ? kLinkSouth : kLinkNorth,
+                   std::abs(dy), earliest, bytes, dur));
+    t.hops = std::abs(dx) + std::abs(dy);
+    t.end = latest + static_cast<Tick>(t.hops) * cfg_.nocHopLatency;
+    t.byteHops = bytes * static_cast<Bytes>(t.hops);
     byteHops_ += t.byteHops;
 #ifdef ADYNA_SANITIZE
-    ADYNA_ASSERT(hopCount == hops(src, dst),
-                 "inline walk hop count diverged from hops()");
+    ADYNA_ASSERT(static_cast<std::size_t>(t.hops) ==
+                     path(src, dst).size(),
+                 "inline walk hop count diverged from path()");
 #endif
     return t;
 }
@@ -322,6 +336,7 @@ Noc::multicast(Tick earliest, TileId src,
     if (bytes == 0 || dsts.empty())
         return t;
 
+    const Tick dur = links_.front().serviceTime(bytes);
     Tick latest = earliest;
     int maxHops = 0;
     std::size_t unionLinks = 0;
@@ -346,8 +361,8 @@ Noc::multicast(Tick earliest, TileId src,
         links.erase(std::unique(links.begin(), links.end()),
                     links.end());
         for (std::size_t link : links)
-            latest = std::max(latest,
-                              acquireLink(link, earliest, bytes).end);
+            latest = std::max(
+                latest, acquireLink(link, earliest, bytes, dur).end);
         unionLinks = links.size();
     } else {
         // Every link up, so every route is X-Y (degraded links only
@@ -360,20 +375,18 @@ Noc::multicast(Tick earliest, TileId src,
         // directly, with no per-destination walk and no dedup. Links
         // are independent resources, so the order they are reserved
         // in cannot change a grant. Direction ties on an even side
-        // resolve as in torusDir().
-        const int cols = cfg_.gridCols;
-        const int rows = cfg_.gridRows;
-        const int srcRow = cfg_.tileRow(src);
-        const int srcCol = cfg_.tileCol(src);
+        // resolve as in torusOffset().
+        const int srcRow = tileRow_[src];
+        const int srcCol = tileCol_[src];
         int east = 0;
         int west = 0;
         scratchCols_.clear();
         for (TileId dst : dsts) {
             if (dst == src)
                 continue;
-            const int col = cfg_.tileCol(dst);
-            const int dx = torusOffset(srcCol, col, cols);
-            const int dy = torusOffset(srcRow, cfg_.tileRow(dst), rows);
+            const int col = tileCol_[dst];
+            const int dx = colOffset(srcCol, col);
+            const int dy = rowOffset(srcRow, tileRow_[dst]);
             east = std::max(east, dx);
             west = std::max(west, -dx);
             if (dy != 0) {
@@ -387,24 +400,18 @@ Noc::multicast(Tick earliest, TileId src,
             maxHops = std::max(maxHops, std::abs(dx) + std::abs(dy));
         }
 
-        const auto reserve = [&](int row, int col, int dir) {
-            const auto here = static_cast<TileId>(row * cols + col);
-            latest = std::max(
-                latest,
-                acquireLink(linkIndex(here, dir), earliest, bytes).end);
+        const auto reserve = [&](int col, int dir, int len) {
+            latest = std::max(latest, reserveRun(srcRow, col, dir, len,
+                                                 earliest, bytes, dur));
         };
-        for (int k = 0; k < east; ++k)
-            reserve(srcRow, (srcCol + k) % cols, kLinkEast);
-        for (int k = 0; k < west; ++k)
-            reserve(srcRow, (srcCol - k + cols) % cols, kLinkWest);
+        reserve(srcCol, kLinkEast, east);
+        reserve(srcCol, kLinkWest, west);
         unionLinks = static_cast<std::size_t>(east + west);
         for (int col : scratchCols_) {
             int &south = colSouth_[static_cast<std::size_t>(col)];
             int &north = colNorth_[static_cast<std::size_t>(col)];
-            for (int k = 0; k < south; ++k)
-                reserve((srcRow + k) % rows, col, kLinkSouth);
-            for (int k = 0; k < north; ++k)
-                reserve((srcRow - k + rows) % rows, col, kLinkNorth);
+            reserve(col, kLinkSouth, south);
+            reserve(col, kLinkNorth, north);
             unionLinks += static_cast<std::size_t>(south + north);
             south = 0;
             north = 0;

@@ -181,10 +181,34 @@ class Noc
                        TileId src, TileId dst) const;
 #endif
 
-    /** Reserve @p bytes on @p link no earlier than @p earliest,
-     * honouring the link's degradation factor. */
+    /** Reserve @p bytes on @p link no earlier than @p earliest.
+     * @p dur is the message's service time at the full link rate
+     * (every link has the same rate, so a message computes it once);
+     * a degraded link stretches its own reservation instead. */
     des::Reservation acquireLink(std::size_t link, Tick earliest,
-                                 Bytes bytes);
+                                 Bytes bytes, Tick dur);
+
+    /** Reserve the @p len links of a straight run leaving tile
+     * (@p row, @p col) along @p dir (a LinkDir), wrapping around the
+     * torus; returns the latest reservation end, or @p earliest for
+     * an empty run. */
+    Tick reserveRun(int row, int col, int dir, int len, Tick earliest,
+                    Bytes bytes, Tick dur);
+
+    /** Signed shortest torus offsets between two columns / rows, read
+     * from the tables built in the constructor (see torusOffset()). */
+    int colOffset(int from, int to) const
+    {
+        return colOffset_[static_cast<std::size_t>(
+            from * cfg_.gridCols + to)];
+    }
+    int rowOffset(int from, int to) const
+    {
+        return rowOffset_[static_cast<std::size_t>(
+            from * cfg_.gridRows + to)];
+    }
+
+    const HwConfig cfg_;
 
     /**
      * Directed links as gap-filling bandwidth reservations (the
@@ -196,9 +220,18 @@ class Noc
      * how little bandwidth either uses. Gap search keeps grants a
      * function of the reserved intervals alone.
      */
-    const HwConfig cfg_;
     std::vector<des::GapBandwidthResource> links_;
     Bytes byteHops_ = 0;
+
+    /** Routing tables, so the fault-free transfer walk, the multicast
+     * route tree and hops() need no integer division or modulo: each
+     * tile's row and column, and the signed shortest torus offset
+     * for every (from, to) pair of columns and of rows, with the n/2
+     * tie on an even side going east / south. */
+    std::vector<int> tileRow_;
+    std::vector<int> tileCol_;
+    std::vector<int> colOffset_;
+    std::vector<int> rowOffset_;
 
     /** Reused multicast scratch (capacity persists): the link union
      * of the fault path, and the fault-free route tree's longest

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -59,7 +60,16 @@ GapBandwidthResource::serviceTime(Bytes bytes) const
 Reservation
 GapBandwidthResource::acquire(Tick earliest, Bytes bytes)
 {
-    const Tick dur = serviceTime(bytes);
+    return acquire(earliest, bytes, serviceTime(bytes));
+}
+
+Reservation
+GapBandwidthResource::acquire(Tick earliest, Bytes bytes, Tick dur)
+{
+#ifdef ADYNA_SANITIZE
+    ADYNA_ASSERT(dur == serviceTime(bytes), "service time ", dur,
+                 " does not match ", bytes, " bytes at rate ", rate_);
+#endif
     bytesServed_ += bytes;
     busyTicks_ += dur;
 
@@ -67,12 +77,25 @@ GapBandwidthResource::acquire(Tick earliest, Bytes bytes)
     // Live intervals are sorted and disjoint, so their ends are
     // sorted too: every interval ending at or before earliest sits
     // in a prefix that can neither hold the grant nor move the
-    // candidate, and a binary search skips it (along with the
-    // expired entries before head_).
+    // candidate, so the scan starts at the first interval ending
+    // after earliest. Requests mostly land at or just behind the
+    // tail, so look there first: past the last interval, or at it
+    // when the one before it has already ended. Only otherwise
+    // binary-search the rest (the expired entries before head_ are
+    // never searched).
+    const auto first =
+        busy_.begin() + static_cast<std::ptrdiff_t>(head_);
+    auto it = busy_.end();
+    if (it != first && earliest < std::prev(it)->end) {
+        --it;
+        if (it != first && earliest < std::prev(it)->end)
+            it = std::partition_point(
+                first, std::prev(it),
+                [earliest](const Reservation &r) {
+                    return r.end <= earliest;
+                });
+    }
     Tick candidate = earliest;
-    auto it = std::partition_point(
-        busy_.begin() + static_cast<std::ptrdiff_t>(head_), busy_.end(),
-        [earliest](const Reservation &r) { return r.end <= earliest; });
     for (; it != busy_.end(); ++it) {
         if (candidate + dur <= it->start)
             break; // fits before this interval

@@ -78,9 +78,11 @@ class BandwidthResource
  * requests are issued out of time order (e.g. a late write-back
  * issued before the next batch's early read). Backs every HBM
  * channel and every directed NoC link, so acquire() is the
- * simulator's innermost loop: it binary-searches past the intervals
- * that end at or before the requested start, then scans forward
- * for the first gap that fits.
+ * simulator's innermost loop. It skips the intervals that end at or
+ * before the requested start, looking first at the last interval
+ * and the one before it (most requests land at or just behind the
+ * tail) and binary-searching the rest only when both are still
+ * busy, then scans forward for the first gap that fits.
  */
 class GapBandwidthResource
 {
@@ -91,6 +93,11 @@ class GapBandwidthResource
      * starting no earlier than @p earliest. A zero-byte request is
      * granted an empty interval at that point and occupies nothing. */
     Reservation acquire(Tick earliest, Bytes bytes);
+
+    /** acquire() with the service time @p dur precomputed by the
+     * caller, who must pass serviceTime(bytes): a message crossing
+     * many links of the same rate computes it once. */
+    Reservation acquire(Tick earliest, Bytes bytes, Tick dur);
 
     Tick serviceTime(Bytes bytes) const;
 

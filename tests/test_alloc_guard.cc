@@ -46,25 +46,28 @@ operator new[](std::size_t n)
     throw std::bad_alloc();
 }
 
-void
+// Kept out of line: once a sanitizer build inlines one of these into
+// a caller, g++ sees std::free paired with a pointer from operator new
+// and warns -Wmismatched-new-delete.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);

@@ -351,10 +351,11 @@ TEST(NocMulticast, MatchesUnicastForSingleDestination)
 namespace {
 
 /**
- * Reference multicast: the union of the per-destination routes
- * (route(), so faults apply) deduplicated by sort + unique, reserved
- * on a shadow set of link resources. Noc's links are 4 per tile in
- * LinkDir order, so route() indices address the shadow directly.
+ * Reference transfers on a shadow set of link resources. A unicast
+ * reserves every link of route() (so faults apply); a multicast
+ * reserves the union of the per-destination routes, deduplicated by
+ * sort + unique. Noc's links are 4 per tile in LinkDir order, so
+ * route() indices address the shadow directly.
  */
 struct ReferenceNoc
 {
@@ -391,6 +392,24 @@ struct ReferenceNoc
         routes.setLinkBandwidthFactor(tile, dir, f);
         factor[static_cast<std::size_t>(tile) * 4 +
                static_cast<std::size_t>(dir)] = f;
+    }
+
+    NocTransfer
+    transfer(Tick earliest, TileId src, TileId dst, Bytes bytes)
+    {
+        NocTransfer t;
+        t.start = earliest;
+        t.end = earliest;
+        if (src == dst || bytes == 0)
+            return t;
+        const auto rt = routes.route(src, dst);
+        Tick latest = earliest;
+        for (std::size_t link : rt)
+            latest = std::max(latest, acquire(link, earliest, bytes).end);
+        t.hops = static_cast<int>(rt.size());
+        t.end = latest + static_cast<Tick>(t.hops) * hw.nocHopLatency;
+        t.byteHops = bytes * static_cast<Bytes>(t.hops);
+        return t;
     }
 
     NocTransfer
@@ -481,31 +500,14 @@ randomGroup(Rng &rng, const HwConfig &hw, TileId src)
     return dsts;
 }
 
-/** Drive @p noc and the reference with the same random multicasts,
- * comparing every transfer, then compare per-link state: aggregate
- * busy ticks, and a one-link probe transfer on every link that is
- * some neighbour's whole route (its grant depends on the link's full
+/** Compare per-link state after a random stream: aggregate busy
+ * ticks, and a one-link probe transfer on every link that is some
+ * neighbour's whole route (its grant depends on the link's full
  * interval list). */
 void
-expectMulticastMatchesReference(Noc &noc, ReferenceNoc &ref,
-                                 std::uint64_t seed)
+expectLinksMatchReference(Noc &noc, ReferenceNoc &ref)
 {
     const HwConfig &hw = ref.hw;
-    Rng rng(seed);
-    for (int i = 0; i < 300; ++i) {
-        const auto src =
-            static_cast<TileId>(rng.uniformInt(0, hw.tiles() - 1));
-        const auto dsts = randomGroup(rng, hw, src);
-        const auto earliest = static_cast<Tick>(rng.uniformInt(0, 4000));
-        const auto bytes = static_cast<Bytes>(
-            rng.uniformInt(1, 64) * (rng.bernoulli(0.2) ? 4096 : 64));
-        const auto got = noc.multicast(earliest, src, dsts, bytes);
-        const auto want = ref.multicast(earliest, src, dsts, bytes);
-        ASSERT_EQ(got.start, want.start) << "multicast " << i;
-        ASSERT_EQ(got.end, want.end) << "multicast " << i;
-        ASSERT_EQ(got.hops, want.hops) << "multicast " << i;
-        ASSERT_EQ(got.byteHops, want.byteHops) << "multicast " << i;
-    }
     EXPECT_EQ(noc.linkBusyTicks(), ref.busyTicks());
 
     int probed = 0;
@@ -531,15 +533,120 @@ expectMulticastMatchesReference(Noc &noc, ReferenceNoc &ref,
     EXPECT_GT(probed, 0);
 }
 
+/** Random payload size: mostly small, sometimes many kilobytes. */
+Bytes
+randomBytes(Rng &rng)
+{
+    return static_cast<Bytes>(rng.uniformInt(1, 64) *
+                              (rng.bernoulli(0.2) ? 4096 : 64));
+}
+
+/** Drive @p noc and the reference with the same random multicasts,
+ * comparing every transfer, then compare per-link state. */
+void
+expectMulticastMatchesReference(Noc &noc, ReferenceNoc &ref,
+                                 std::uint64_t seed)
+{
+    const HwConfig &hw = ref.hw;
+    Rng rng(seed);
+    for (int i = 0; i < 300; ++i) {
+        const auto src =
+            static_cast<TileId>(rng.uniformInt(0, hw.tiles() - 1));
+        const auto dsts = randomGroup(rng, hw, src);
+        const auto earliest = static_cast<Tick>(rng.uniformInt(0, 4000));
+        const auto bytes = randomBytes(rng);
+        const auto got = noc.multicast(earliest, src, dsts, bytes);
+        const auto want = ref.multicast(earliest, src, dsts, bytes);
+        ASSERT_EQ(got.start, want.start) << "multicast " << i;
+        ASSERT_EQ(got.end, want.end) << "multicast " << i;
+        ASSERT_EQ(got.hops, want.hops) << "multicast " << i;
+        ASSERT_EQ(got.byteHops, want.byteHops) << "multicast " << i;
+    }
+    expectLinksMatchReference(noc, ref);
+}
+
+/** The same for random unicast transfers (every pair, including
+ * src == dst, and the occasional zero-byte message). */
+void
+expectTransferMatchesReference(Noc &noc, ReferenceNoc &ref,
+                               std::uint64_t seed)
+{
+    const HwConfig &hw = ref.hw;
+    Rng rng(seed);
+    const Bytes servedBefore = noc.byteHopsServed();
+    Bytes byteHops = 0;
+    for (int i = 0; i < 400; ++i) {
+        const auto src =
+            static_cast<TileId>(rng.uniformInt(0, hw.tiles() - 1));
+        const auto dst =
+            static_cast<TileId>(rng.uniformInt(0, hw.tiles() - 1));
+        const auto earliest = static_cast<Tick>(rng.uniformInt(0, 4000));
+        const Bytes bytes = rng.bernoulli(0.05) ? 0 : randomBytes(rng);
+        const auto got = noc.transfer(earliest, src, dst, bytes);
+        const auto want = ref.transfer(earliest, src, dst, bytes);
+        ASSERT_EQ(got.start, want.start) << "transfer " << i;
+        ASSERT_EQ(got.end, want.end) << "transfer " << i;
+        ASSERT_EQ(got.hops, want.hops) << "transfer " << i;
+        ASSERT_EQ(got.byteHops, want.byteHops) << "transfer " << i;
+        byteHops += want.byteHops;
+    }
+    EXPECT_EQ(noc.byteHopsServed() - servedBefore, byteHops);
+    expectLinksMatchReference(noc, ref);
+}
+
+/** Odd and even sides, square and not: an even side has the n/2 tie,
+ * which X-Y routing breaks towards east / south. */
+const std::pair<int, int> kTorusShapes[] = {
+    {3, 5}, {4, 4}, {4, 6}, {5, 5}, {6, 3}, {2, 7}, {1, 6}, {12, 12},
+};
+
+TEST(Noc, TransferMatchesRouteReference)
+{
+    // Each torus healthy, then with degraded links (the route stays
+    // X-Y, reservations stretch), then with links down (Y-X or BFS
+    // detours). The faulty links are drawn from a seeded stream.
+    enum class Faults { None, Degraded, Down };
+    std::uint64_t seed = 1;
+    std::uint64_t detours = 0;
+    for (const auto &[rows, cols] : kTorusShapes) {
+        for (Faults faults : {Faults::None, Faults::Degraded, Faults::Down}) {
+            SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) +
+                         " faults " +
+                         std::to_string(static_cast<int>(faults)));
+            HwConfig hw;
+            hw.gridRows = rows;
+            hw.gridCols = cols;
+            Noc noc(hw);
+            ReferenceNoc ref(hw);
+            Rng pick(seed * 31);
+            for (int k = 0; k < 3 && faults != Faults::None; ++k) {
+                const auto tile =
+                    static_cast<TileId>(pick.uniformInt(0, hw.tiles() - 1));
+                const int dir = static_cast<int>(pick.uniformInt(0, 3));
+                if (faults == Faults::Down) {
+                    noc.setLinkDown(tile, dir, true);
+                    ref.setLinkDown(tile, dir);
+                } else {
+                    const double f = 0.25 * static_cast<double>(k + 1);
+                    noc.setLinkBandwidthFactor(tile, dir, f);
+                    ref.setLinkBandwidthFactor(tile, dir, f);
+                }
+            }
+            expectTransferMatchesReference(noc, ref, seed++);
+            if (faults == Faults::Down) {
+                detours += noc.detourRoutes();
+            } else {
+                EXPECT_EQ(noc.detourRoutes(), 0u);
+            }
+        }
+    }
+    EXPECT_GT(detours, 0u);
+}
+
 TEST(NocMulticast, RouteTreeMatchesPerDestinationUnion)
 {
-    // Odd and even sides, square and not: an even side has the n/2
-    // tie, which X-Y routing breaks towards east / south.
-    const std::pair<int, int> shapes[] = {
-        {3, 5}, {4, 4}, {4, 6}, {5, 5}, {6, 3}, {2, 7}, {1, 6}, {12, 12},
-    };
     std::uint64_t seed = 1;
-    for (const auto &[rows, cols] : shapes) {
+    for (const auto &[rows, cols] : kTorusShapes) {
         SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
         HwConfig hw;
         hw.gridRows = rows;

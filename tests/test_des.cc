@@ -520,3 +520,203 @@ TEST(GapBandwidthResource, MatchesBruteForceOracle)
         EXPECT_EQ(ch.bytesServed(), ref.bytesServed());
     }
 }
+
+// The tail-first lookup: acquire() checks the last live interval and
+// the one before it before falling back to a binary search. These pin
+// each boundary of that dispatch with rate 1 (bytes == ticks).
+
+TEST(GapBandwidthResource, TailLookupAtLastEnd)
+{
+    GapBandwidthResource ch(1.0);
+    (void)ch.acquire(0, 10);  // [0, 10)
+    (void)ch.acquire(20, 10); // [20, 30)
+    // Starts exactly where the last interval ends: appended, merged.
+    const auto g = ch.acquire(30, 5);
+    EXPECT_EQ(g.start, 30u);
+    EXPECT_EQ(g.end, 35u);
+    ASSERT_EQ(ch.reservationCount(), 2u);
+    EXPECT_EQ(ch.liveReservations().back().start, 20u);
+    EXPECT_EQ(ch.liveReservations().back().end, 35u);
+    // One tick behind the end: the last interval is still busy.
+    const auto h = ch.acquire(34, 5);
+    EXPECT_EQ(h.start, 35u);
+    EXPECT_EQ(h.end, 40u);
+    EXPECT_EQ(ch.reservationCount(), 2u);
+}
+
+TEST(GapBandwidthResource, TailLookupAtSecondToLastEnd)
+{
+    const auto threeIntervals = [] {
+        GapBandwidthResource ch(1.0);
+        (void)ch.acquire(0, 10);  // [0, 10)
+        (void)ch.acquire(20, 10); // [20, 30)
+        (void)ch.acquire(40, 10); // [40, 50)
+        return ch;
+    };
+    {
+        // Fits the gap behind the last interval: fills it exactly,
+        // merging the last two intervals.
+        auto ch = threeIntervals();
+        const auto g = ch.acquire(30, 10);
+        EXPECT_EQ(g.start, 30u);
+        EXPECT_EQ(g.end, 40u);
+        ASSERT_EQ(ch.reservationCount(), 2u);
+        EXPECT_EQ(ch.liveReservations()[1].start, 20u);
+        EXPECT_EQ(ch.liveReservations()[1].end, 50u);
+    }
+    {
+        // Too long for that gap: lands after the last interval.
+        auto ch = threeIntervals();
+        const auto g = ch.acquire(30, 15);
+        EXPECT_EQ(g.start, 50u);
+        EXPECT_EQ(g.end, 65u);
+        EXPECT_EQ(ch.reservationCount(), 3u);
+    }
+    {
+        // One tick earlier the second-to-last interval is still busy,
+        // so the binary search decides; the grant waits for its end.
+        auto ch = threeIntervals();
+        const auto g = ch.acquire(29, 5);
+        EXPECT_EQ(g.start, 30u);
+        EXPECT_EQ(g.end, 35u);
+        EXPECT_EQ(ch.reservationCount(), 3u);
+    }
+    {
+        // Earlier still: the first gap that fits is [10, 20).
+        auto ch = threeIntervals();
+        const auto g = ch.acquire(5, 10);
+        EXPECT_EQ(g.start, 10u);
+        EXPECT_EQ(g.end, 20u);
+        EXPECT_EQ(ch.reservationCount(), 2u);
+    }
+}
+
+TEST(GapBandwidthResource, TailLookupWithOneLiveInterval)
+{
+    const auto oneInterval = [] {
+        GapBandwidthResource ch(1.0);
+        (void)ch.acquire(10, 10); // [10, 20)
+        return ch;
+    };
+    const struct
+    {
+        Tick earliest;
+        Bytes bytes;
+        Tick start;
+    } cases[] = {
+        {0, 10, 0},   // fits before it, touching
+        {0, 11, 20},  // one tick too long for the gap before it
+        {5, 10, 20},  // overlaps it: waits for its end
+        {15, 1, 20},  // inside it
+        {19, 4, 20},  // one tick before its end
+        {20, 4, 20},  // exactly at its end
+        {25, 4, 25},  // past it
+    };
+    for (const auto &c : cases) {
+        auto ch = oneInterval();
+        const auto g = ch.acquire(c.earliest, c.bytes);
+        EXPECT_EQ(g.start, c.start) << "earliest " << c.earliest;
+        EXPECT_EQ(g.end, c.start + c.bytes) << "earliest " << c.earliest;
+    }
+
+    // One live interval behind an expired prefix: a grant touching
+    // the live interval merges into it, never into the expired one.
+    GapBandwidthResource ch(1.0);
+    (void)ch.acquire(0, 10);  // [0, 10)
+    (void)ch.acquire(20, 10); // [20, 30)
+    ch.trim(10);
+    ASSERT_EQ(ch.reservationCount(), 1u);
+    const auto g = ch.acquire(10, 10);
+    EXPECT_EQ(g.start, 10u);
+    EXPECT_EQ(g.end, 20u);
+    ASSERT_EQ(ch.reservationCount(), 1u);
+    EXPECT_EQ(ch.liveReservations()[0].start, 10u);
+    EXPECT_EQ(ch.liveReservations()[0].end, 30u);
+    const auto h = ch.acquire(15, 5);
+    EXPECT_EQ(h.start, 30u);
+    EXPECT_EQ(h.end, 35u);
+}
+
+TEST(GapBandwidthResource, TailLookupAfterEveryIntervalExpired)
+{
+    // Below and above the compaction threshold: with few intervals
+    // the expired prefix stays in the vector (head == size), with
+    // many it is compacted away.
+    for (int intervals : {2, 40}) {
+        SCOPED_TRACE(intervals);
+        GapBandwidthResource ch(1.0);
+        Tick t = 0;
+        for (int i = 0; i < intervals; ++i, t += 20)
+            (void)ch.acquire(t, 10);
+        const Tick lastEnd = t - 10;
+        ch.trim(lastEnd);
+        ASSERT_EQ(ch.reservationCount(), 0u);
+        // At the barrier, exactly where the last expired interval
+        // ended: a fresh interval, not merged into the expired one.
+        const auto g = ch.acquire(lastEnd, 5);
+        EXPECT_EQ(g.start, lastEnd);
+        EXPECT_EQ(g.end, lastEnd + 5);
+        ASSERT_EQ(ch.reservationCount(), 1u);
+        EXPECT_EQ(ch.liveReservations()[0].start, lastEnd);
+        const auto h = ch.acquire(lastEnd, 5);
+        EXPECT_EQ(h.start, lastEnd + 5);
+        ASSERT_EQ(ch.reservationCount(), 1u);
+        EXPECT_EQ(ch.liveReservations()[0].end, lastEnd + 10);
+    }
+}
+
+TEST(GapBandwidthResource, TailWeightedStreamMatchesOracle)
+{
+    // Requests weighted the way the engine issues them: most at the
+    // current tail's end or a little behind it (inside or just after
+    // the last interval or two), some exactly at the second-to-last
+    // interval's end, a few anywhere above the barrier, interleaved
+    // with trims. Every grant must equal the brute-force oracle's.
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed * 7919);
+        const double rate = seed % 2 ? 1.0 : 64.0;
+        const auto scale = static_cast<std::int64_t>(rate);
+        GapBandwidthResource ch(rate);
+        oracle::GapOracle ref(rate);
+        Tick barrier = 0;
+        for (int step = 0; step < 4000; ++step) {
+            const auto live = ch.liveReservations();
+            if (rng.uniformInt(0, 24) == 0) {
+                // Trim up to a little behind the tail, so requests
+                // keep landing behind it afterwards.
+                const Tick tail = live.empty() ? barrier : live.back().end;
+                barrier = std::max(
+                    barrier, tail - std::min<Tick>(
+                                        tail, static_cast<Tick>(
+                                                  rng.uniformInt(0, 60))));
+                ch.trim(barrier);
+                continue;
+            }
+            Tick earliest = barrier;
+            const auto pick = rng.uniformInt(0, 19);
+            if (!live.empty() && pick < 8) {
+                earliest = live.back().end; // at the tail
+            } else if (!live.empty() && pick < 14) {
+                const Tick back = static_cast<Tick>(rng.uniformInt(1, 30));
+                earliest = live.back().end - std::min(live.back().end, back);
+            } else if (live.size() >= 2 && pick < 17) {
+                earliest = live[live.size() - 2].end;
+            } else {
+                earliest += static_cast<Tick>(rng.uniformInt(0, 400));
+            }
+            earliest = std::max(earliest, barrier);
+            if (rng.uniformInt(0, 9) == 0)
+                earliest += static_cast<Tick>(rng.uniformInt(1, 40));
+            const auto bytes = static_cast<Bytes>(
+                rng.uniformInt(1, 16 * scale));
+            const auto got = ch.acquire(earliest, bytes);
+            const auto want = ref.acquire(earliest, bytes);
+            ASSERT_EQ(got.start, want.start)
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(got.end, want.end)
+                << "seed " << seed << " step " << step;
+        }
+        EXPECT_EQ(ch.busyTicks(), ref.busyTicks());
+        EXPECT_EQ(ch.bytesServed(), ref.bytesServed());
+    }
+}
