@@ -1,26 +1,18 @@
 /**
  * @file
- * Harness self-check: times the hot paths of the simulator three
- * ways and gates every optimization on byte-identical outputs.
+ * Harness self-check: times the hot paths of the simulator and gates
+ * every optimization on byte-identical outputs.
  *
- * 1. The full workload x design sweep -- (A) the seed configuration
- *    (serial, per-run mapper, legacy per-period segment planner, no
- *    store cache, no exec memo), (B) serial with every cache layer
- *    on, and (C) the same plus the --jobs thread pool -- verifying
+ * 1. The full workload x design sweep -- (A) serial with a private
+ *    mapper per run, (B) serial with one mapper shared across the
+ *    sweep, and (C) the same plus the --jobs thread pool -- verifying
  *    that all three produce identical reports.
  * 2. The reconfiguration-latency bench: N re-schedules per workload
  *    cold (fresh mapper, no store cache), cold with the parallel
  *    per-stage store build, and warm (primed kernel-store cache +
  *    mapper memo), verifying cold- and warm-built schedules are
  *    identical down to the encoded kernel images.
- * 3. The engine-throughput bench: the same batch stream through
- *    Engine::runPeriod with the exec-cost memo off and on, verifying
- *    identical PeriodResults.
- * 4. The event-queue bench: the same self-propagating event stream
- *    through the legacy priority-queue simulator and the arena /
- *    calendar-queue simulator, verifying identical fired order and
- *    gating the arena path at >= 2x the legacy throughput.
- * 5. The delta re-schedule bench: warm full rebuilds vs pure-splice
+ * 3. The delta re-schedule bench: warm full rebuilds vs pure-splice
  *    Scheduler::buildDelta calls on the most segmented workload,
  *    verifying splices are byte-identical to their base and gating
  *    delta p99 at >= 10x below full-rebuild p99.
@@ -38,7 +30,6 @@
 #include "bench_common.hh"
 #include "common/buildinfo.hh"
 #include "core/report_io.hh"
-#include "des/simulator.hh"
 #include "kernels/store_cache.hh"
 
 using namespace adyna;
@@ -55,14 +46,11 @@ nowMs()
         .count();
 }
 
-/** Cache/parallelism switches of one sweep configuration. */
+/** Mapper-sharing/parallelism switches of one sweep configuration. */
 struct SweepCfg
 {
     int jobs = 1;
-    bool planCache = false;
     bool shareMapper = false;
-    bool storeCache = false;
-    bool execMemo = false;
 };
 
 struct SweepResult
@@ -105,12 +93,9 @@ runSweep(const std::vector<Workload> &workloads,
         const Workload &w = workloads[tasks[i].wi];
         trace::TraceConfig tc = w.bundle.traceConfig;
         tc.batchSize = p.batchSize;
-        auto pol = baselines::execPolicy(tasks[i].d);
-        pol.planCache = cfg.planCache;
-        pol.execCostMemo = cfg.execMemo;
-        auto scfg = baselines::schedulerConfig(tasks[i].d);
-        scfg.storeCache = cfg.storeCache;
-        core::System sys(w.dg, tc, hw, scfg, pol,
+        core::System sys(w.dg, tc, hw,
+                         baselines::schedulerConfig(tasks[i].d),
+                         baselines::execPolicy(tasks[i].d),
                          baselines::runOptions(tasks[i].d, p.batches,
                                                p.seed),
                          baselines::designName(tasks[i].d));
@@ -143,33 +128,6 @@ reportsIdentical(const std::vector<core::RunReport> &a,
             core::toJson(b[i], /*include_batches=*/true))
             return false;
     return true;
-}
-
-/** Everything a schedule compiles down to, including the encoded
- * 128-byte kernel images (cold- and warm-built schedules must agree
- * byte for byte). */
-std::string
-scheduleFingerprint(const core::Schedule &sch)
-{
-    std::ostringstream os;
-    for (const auto &seg : sch.segments) {
-        for (const auto &st : seg->stages) {
-            os << st.op << ':' << st.baseTiles << ':';
-            for (TileId t : st.tiles)
-                os << t << ',';
-            for (const auto &[count, store] : st.stores) {
-                os << '|' << count;
-                for (const auto &k : store->kernels()) {
-                    os << '/' << k.value << '#';
-                    for (unsigned byte : k.image)
-                        os << byte << '.';
-                }
-            }
-            os << ';';
-        }
-        os << '\n';
-    }
-    return os.str();
 }
 
 /** Reconfiguration-latency figures for one workload. */
@@ -213,8 +171,8 @@ runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds,
     {
         costmodel::Mapper m0(hw.tech);
         core::Scheduler s0(w.dg, hw, m0, scfg);
-        coldFp = scheduleFingerprint(
-            s0.build(expectations, kernelValues, nullptr));
+        coldFp =
+            s0.build(expectations, kernelValues, nullptr).fingerprint();
         const double t0 = nowMs();
         for (int r = 0; r < rounds; ++r) {
             costmodel::Mapper m(hw.tech);
@@ -244,8 +202,8 @@ runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds,
         kernels::KernelStoreCache cache;
         core::Scheduler s(w.dg, hw, m, scfg);
         s.setStoreCache(&cache);
-        const std::string warmFp = scheduleFingerprint(
-            s.build(expectations, kernelValues, nullptr));
+        const std::string warmFp =
+            s.build(expectations, kernelValues, nullptr).fingerprint();
         const double t0 = nowMs();
         for (int r = 0; r < rounds; ++r)
             (void)s.build(expectations, kernelValues, nullptr);
@@ -257,195 +215,7 @@ runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds,
     return out;
 }
 
-/** Engine-throughput figures: the exec-cost memo off vs on. */
-struct EngineResult
-{
-    double uncachedMs = 0.0;
-    double memoMs = 0.0;
-    bool identical = false;
-    std::uint64_t execHits = 0;
-    std::uint64_t execMisses = 0;
-};
-
-bool
-samePeriod(const core::PeriodResult &a, const core::PeriodResult &b)
-{
-    return a.endTime == b.endTime && a.batchEnds == b.batchEnds &&
-           a.stageCycles == b.stageCycles;
-}
-
-/**
- * Stream the same batch routing sequence through Engine::runPeriod
- * @p reps times per memo setting (fresh chip per rep, so every rep
- * is the same simulation) and compare results and wall-clock.
- */
-EngineResult
-runEngineBench(const Workload &w, const arch::HwConfig &hw,
-               const BenchParams &p, int reps)
-{
-    costmodel::Mapper mapper(hw.tech);
-    const auto scfg = baselines::schedulerConfig(Design::Adyna);
-    core::Scheduler sched(w.dg, hw, mapper, scfg);
-    const core::Schedule schedule = sched.build(
-        {}, sched.initialKernelValues(), nullptr);
-
-    trace::TraceConfig tc = w.bundle.traceConfig;
-    tc.batchSize = p.batchSize;
-    trace::TraceGenerator gen(w.dg, tc, p.seed);
-    std::vector<trace::BatchRouting> routings;
-    routings.reserve(static_cast<std::size_t>(p.batches));
-    for (int b = 0; b < p.batches; ++b)
-        routings.push_back(gen.next());
-
-    EngineResult out;
-    core::PeriodResult uncachedRes;
-    for (const bool memo : {false, true}) {
-        auto pol = baselines::execPolicy(Design::Adyna);
-        pol.execCostMemo = memo;
-        core::Engine eng(w.dg, hw, mapper, pol);
-        const double t0 = nowMs();
-        core::PeriodResult first;
-        for (int r = 0; r < reps; ++r) {
-            arch::Chip chip(hw);
-            core::PeriodResult res = eng.runPeriod(
-                chip, schedule, routings, nullptr, 0);
-            if (r == 0)
-                first = std::move(res);
-        }
-        const double ms = (nowMs() - t0) / reps;
-        if (memo) {
-            out.memoMs = ms;
-            out.identical = samePeriod(first, uncachedRes);
-            out.execHits = eng.execHits();
-            out.execMisses = eng.execMisses();
-        } else {
-            out.uncachedMs = ms;
-            uncachedRes = std::move(first);
-        }
-    }
-    return out;
-}
-
-// ---- 4. event-queue A/B --------------------------------------------
-
-/** One FNV-1a step (order-sensitive fired-sequence checksum). */
-constexpr std::uint64_t
-mix(std::uint64_t h, std::uint64_t x)
-{
-    return (h ^ x) * 0x100000001b3ull;
-}
-
-/**
- * Deterministic event-delay pattern shaped like the engine's
- * traffic: same-tick bursts, mostly near-future posts, and a
- * far-future tail that exercises the overflow heap behind the
- * calendar window.
- */
-constexpr Tick
-queueDelta(std::uint64_t id)
-{
-    if ((id & 63u) == 63u)
-        return 4000 + id % 1031;
-    return id % 3u == 0 ? 0 : 1 + id % 7;
-}
-
-/** Event-queue A/B figures. */
-struct QueueResult
-{
-    double legacyMs = 0.0;
-    double arenaMs = 0.0;
-    double eventsPerSec = 0.0; ///< arena (typed) path
-    std::uint64_t events = 0;
-    bool identical = false; ///< fired sequences match exactly
-};
-
-/** Legacy path: every event is a heap-allocated closure ordered by
- * the binary heap. Each fired event spawns its successor, keeping a
- * steady population of @p seedChains in-flight events. */
-struct LegacyQueueDriver
-{
-    des::LegacySimulator sim;
-    std::uint64_t spawned = 0;
-    std::uint64_t fired = 0;
-    std::uint64_t sum = 0xcbf29ce484222325ull;
-    std::uint64_t total = 0;
-
-    void
-    spawn()
-    {
-        const std::uint64_t id = spawned++;
-        sim.schedule(sim.now() + queueDelta(id), [this, id] {
-            sum = mix(sum, (sim.now() << 20) ^ id);
-            ++fired;
-            if (spawned < total)
-                spawn();
-        });
-    }
-};
-
-/** Arena path: the same stream as typed zero-allocation posts. */
-struct ArenaQueueDriver
-{
-    des::Simulator sim;
-    std::uint64_t spawned = 0;
-    std::uint64_t fired = 0;
-    std::uint64_t sum = 0xcbf29ce484222325ull;
-    std::uint64_t total = 0;
-
-    static void
-    handler(void *ctx, std::uint64_t id, std::uint64_t)
-    {
-        auto *self = static_cast<ArenaQueueDriver *>(ctx);
-        self->sum = mix(self->sum, (self->sim.now() << 20) ^ id);
-        ++self->fired;
-        if (self->spawned < self->total)
-            self->spawn();
-    }
-
-    void
-    spawn()
-    {
-        const std::uint64_t id = spawned++;
-        sim.post(sim.now() + queueDelta(id), 1, id, 0);
-    }
-};
-
-QueueResult
-runQueueBench(std::uint64_t events, int seedChains)
-{
-    QueueResult out;
-    out.events = events;
-
-    std::uint64_t legacySum = 0;
-    {
-        LegacyQueueDriver d;
-        d.total = events;
-        const double t0 = nowMs();
-        for (int i = 0; i < seedChains; ++i)
-            d.spawn();
-        d.sim.run();
-        out.legacyMs = nowMs() - t0;
-        legacySum = d.sum;
-        out.events = d.fired;
-    }
-    {
-        ArenaQueueDriver d;
-        d.total = events;
-        d.sim.setHandler(1, &ArenaQueueDriver::handler, &d);
-        const double t0 = nowMs();
-        for (int i = 0; i < seedChains; ++i)
-            d.spawn();
-        d.sim.run();
-        out.arenaMs = nowMs() - t0;
-        out.identical = d.sum == legacySum && d.fired == out.events;
-        if (out.arenaMs > 0.0)
-            out.eventsPerSec = static_cast<double>(d.fired) /
-                               (out.arenaMs * 1e-3);
-    }
-    return out;
-}
-
-// ---- 5. delta re-schedule latency ----------------------------------
+// ---- 3. delta re-schedule latency ----------------------------------
 
 /** Warm full rebuild vs pure-splice buildDelta percentiles. */
 struct DeltaResult
@@ -528,8 +298,8 @@ runDeltaBench(const std::vector<Workload> &workloads,
     out.segmentsTotal = stats.segmentsTotal;
     out.segmentsRebuilt = stats.segmentsRebuilt;
     out.identical =
-        scheduleFingerprint(spliced) == scheduleFingerprint(base) &&
-        scheduleFingerprint(rebuilt) == scheduleFingerprint(base) &&
+        spliced.fingerprint() == base.fingerprint() &&
+        rebuilt.fingerprint() == base.fingerprint() &&
         stats.segmentsRebuilt == 0;
 
     // Both paths sit in the microsecond range, where one-shot
@@ -576,10 +346,6 @@ main(int argc, char **argv)
         p.batches = 120;
     const int reconfigRounds =
         static_cast<int>(args.getInt("reconfig-rounds", 5));
-    const int engineReps =
-        static_cast<int>(args.getInt("engine-reps", 3));
-    const auto queueEvents = static_cast<std::uint64_t>(
-        args.getInt("queue-events", 2000000));
     const int deltaRounds =
         static_cast<int>(args.getInt("delta-rounds", 60));
     const arch::HwConfig hw;
@@ -595,14 +361,12 @@ main(int argc, char **argv)
                 workloads.size() * designs.size(), p.batches);
 
     // ---- 1. the full sweep, three ways -----------------------------
-    const auto base = runSweep(workloads, designs, p, hw,
-                               SweepCfg{1, false, false, false,
-                                        false});
-    const auto cached = runSweep(workloads, designs, p, hw,
-                                 SweepCfg{1, true, true, true, true});
-    const auto parallel = runSweep(
-        workloads, designs, p, hw,
-        SweepCfg{p.jobs, true, true, true, true});
+    const auto base =
+        runSweep(workloads, designs, p, hw, SweepCfg{1, false});
+    const auto cached =
+        runSweep(workloads, designs, p, hw, SweepCfg{1, true});
+    const auto parallel =
+        runSweep(workloads, designs, p, hw, SweepCfg{p.jobs, true});
 
     const bool eqCached = reportsIdentical(base.reports,
                                            cached.reports);
@@ -612,13 +376,13 @@ main(int argc, char **argv)
     TextTable t("End-to-end sweep wall-clock");
     t.header({"configuration", "wall (ms)", "speedup",
               "reports identical"});
-    t.row({"A: seed (serial, uncached)", TextTable::num(base.wallMs, 0),
+    t.row({"A: serial, per-run mapper", TextTable::num(base.wallMs, 0),
            "1.00x", "-"});
-    t.row({"B: serial + all caches",
+    t.row({"B: serial, shared mapper",
            TextTable::num(cached.wallMs, 0),
            TextTable::mult(base.wallMs / cached.wallMs),
            eqCached ? "yes" : "NO"});
-    t.row({"C: --jobs " + std::to_string(p.jobs) + " + all caches",
+    t.row({"C: --jobs " + std::to_string(p.jobs) + ", shared mapper",
            TextTable::num(parallel.wallMs, 0),
            TextTable::mult(base.wallMs / parallel.wallMs),
            eqParallel ? "yes" : "NO"});
@@ -629,7 +393,7 @@ main(int argc, char **argv)
                            static_cast<double>(h + m)
                      : 0.0;
     };
-    std::printf("\nSerial cached sweep: mapper %llu/%llu hits/misses "
+    std::printf("\nSerial shared-mapper sweep: mapper %llu/%llu hits/misses "
                 "(%.1f%%), stores %llu/%llu (%.1f%%), exec memo "
                 "%llu/%llu (%.1f%%)\n",
                 static_cast<unsigned long long>(cached.mapperHits),
@@ -671,34 +435,11 @@ main(int argc, char **argv)
     }
     rt.print(std::cout);
 
-    // ---- 3. engine throughput --------------------------------------
-    const auto eng = runEngineBench(workloads.front(), hw, p,
-                                    engineReps);
-    std::printf("\nEngine throughput (%s, %d batches x %d reps): "
-                "memo off %.1f ms, on %.1f ms (%.2fx), results %s, "
-                "%llu/%llu hits/misses\n",
-                workloads.front().name.c_str(), p.batches, engineReps,
-                eng.uncachedMs, eng.memoMs,
-                eng.memoMs > 0.0 ? eng.uncachedMs / eng.memoMs : 0.0,
-                eng.identical ? "identical" : "DIVERGED",
-                static_cast<unsigned long long>(eng.execHits),
-                static_cast<unsigned long long>(eng.execMisses));
-
-    // ---- 4. event-queue throughput ---------------------------------
-    const QueueResult q = runQueueBench(queueEvents, 1024);
-    const double queueSpeedup =
-        q.arenaMs > 0.0 ? q.legacyMs / q.arenaMs : 0.0;
-    std::printf("\nEvent queue (%llu events): legacy %.1f ms, arena "
-                "%.1f ms (%.2fx, %.1fM events/s), fired order %s\n",
-                static_cast<unsigned long long>(q.events), q.legacyMs,
-                q.arenaMs, queueSpeedup, q.eventsPerSec * 1e-6,
-                q.identical ? "identical" : "DIVERGED");
-
-    // ---- 5. delta re-schedule latency ------------------------------
+    // ---- 3. delta re-schedule latency ------------------------------
     const DeltaResult del = runDeltaBench(workloads, hw, deltaRounds);
     const double deltaSpeedupP99 =
         del.deltaP99 > 0.0 ? del.fullP99 / del.deltaP99 : 0.0;
-    std::printf("Delta re-schedule (%s, %llu segments, %d rounds): "
+    std::printf("\nDelta re-schedule (%s, %llu segments, %d rounds): "
                 "warm full p50/p99 %.3f/%.3f ms, splice p50/p99 "
                 "%.4f/%.4f ms (p99 %.1fx), schedules %s\n",
                 del.workload.c_str(),
@@ -719,10 +460,10 @@ main(int argc, char **argv)
            << ",\n  \"batches\": " << p.batches
            << ",\n  \"batch_size\": " << p.batchSize
            << ",\n  \"runs\": " << workloads.size() * designs.size()
-           << ",\n  \"serial_uncached_ms\": " << base.wallMs
+           << ",\n  \"serial_private_mapper_ms\": " << base.wallMs
            << ",\n  \"serial_cached_ms\": " << cached.wallMs
            << ",\n  \"parallel_cached_ms\": " << parallel.wallMs
-           << ",\n  \"speedup_cache\": "
+           << ",\n  \"speedup_shared_mapper\": "
            << base.wallMs / cached.wallMs
            << ",\n  \"speedup_total\": "
            << base.wallMs / parallel.wallMs
@@ -754,19 +495,6 @@ main(int argc, char **argv)
            << ",\n  \"reconfig_speedup\": " << bestSpeedup
            << ",\n  \"schedules_identical\": "
            << (schedulesIdentical ? "true" : "false")
-           << ",\n  \"engine_uncached_ms\": " << eng.uncachedMs
-           << ",\n  \"engine_memo_ms\": " << eng.memoMs
-           << ",\n  \"engine_speedup\": "
-           << (eng.memoMs > 0.0 ? eng.uncachedMs / eng.memoMs : 0.0)
-           << ",\n  \"engine_identical\": "
-           << (eng.identical ? "true" : "false")
-           << ",\n  \"queue_events\": " << q.events
-           << ",\n  \"queue_legacy_ms\": " << q.legacyMs
-           << ",\n  \"queue_arena_ms\": " << q.arenaMs
-           << ",\n  \"queue_speedup\": " << queueSpeedup
-           << ",\n  \"engine_events_per_sec\": " << q.eventsPerSec
-           << ",\n  \"queue_identical\": "
-           << (q.identical ? "true" : "false")
            << ",\n  \"delta_workload\": \"" << del.workload << "\""
            << ",\n  \"delta_segments\": " << del.segmentsTotal
            << ",\n  \"delta_full_p50_ms\": " << del.fullP50
@@ -780,38 +508,30 @@ main(int argc, char **argv)
     }
     std::printf("Wrote %s\n", jsonPath.c_str());
 
-    const bool queueOk = q.identical && queueSpeedup >= 2.0;
     const bool deltaOk = del.identical && deltaSpeedupP99 >= 10.0;
     const bool pass = eqCached && eqParallel && schedulesIdentical &&
-                      eng.identical && warmFaster && queueOk &&
-                      deltaOk;
+                      warmFaster && deltaOk;
     if (!pass) {
-        std::printf("\nFAIL:%s%s%s%s%s%s\n",
+        std::printf("\nFAIL:%s%s%s%s\n",
                     !eqCached || !eqParallel
-                        ? " sweep reports diverge from the seed path;"
+                        ? " sweep reports diverge from the serial "
+                          "private-mapper sweep;"
                         : "",
                     !schedulesIdentical
                         ? " warm-built schedules differ from cold;"
                         : "",
-                    !eng.identical
-                        ? " exec-memo results diverge;"
-                        : "",
                     !warmFaster
                         ? " warm re-schedules not faster than cold;"
                         : "",
-                    !queueOk ? " event-queue path below 2x the "
-                               "legacy simulator (or order diverged);"
-                             : "",
                     !deltaOk ? " delta re-schedule p99 below 10x the "
                                "warm full rebuild (or splice "
                                "diverged);"
                              : "");
         return 1;
     }
-    std::printf("\nPASS: cached/parallel sweeps, warm re-schedules "
-                "and the exec memo are all equivalent to the seed "
-                "path, warm re-schedules are faster than cold, the "
-                "arena event queue clears 2x legacy, and delta "
-                "re-schedule p99 clears 10x the warm full rebuild\n");
+    std::printf("\nPASS: shared-mapper/parallel sweeps match the "
+                "serial private-mapper sweep, warm re-schedules match "
+                "and beat cold ones, and delta re-schedule p99 clears "
+                "10x the warm full rebuild\n");
     return 0;
 }

@@ -212,8 +212,8 @@ class Noc
 
     /**
      * Directed links as gap-filling bandwidth reservations (the
-     * same model as the HBM channels). The serial appender used
-     * previously (BandwidthResource) makes grants order-sensitive:
+     * same model as the HBM channels). A serial busy-until appender
+     * would make grants order-sensitive:
      * under multi-tenant interleaving, a tenant running ahead in
      * simulated time pushes a shared link's busy horizon to its own
      * period end, serializing every co-tenant behind it no matter

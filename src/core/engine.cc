@@ -42,6 +42,13 @@ execMemoKey(OpId op, int tiles, std::int64_t v_exec)
            static_cast<std::uint64_t>(v_exec);
 }
 
+/** Cycle multiplier for a stage whose tile group is entirely dead
+ * (no survivor can re-execute the shards; the host steps in). Groups
+ * with survivors instead stretch by (1 + dead tiles): SIMD lockstep
+ * means each dead shard costs one extra full pass on a surviving
+ * member. Only applied while the chip reports a failed tile. */
+constexpr double kDeadGroupPenalty = 32.0;
+
 /** Per-row output bytes of an op given its fused output dims. */
 Bytes
 perRowOutBytes(const OpNode &node, const graph::LoopDims &out_dims)
@@ -120,6 +127,44 @@ Engine::storeSignature(const Schedule &schedule)
     return h;
 }
 
+Engine::ExecEntry
+Engine::dispatchCost(const StageAssign &st, const OpNode &node,
+                     std::int64_t v_exec, int tile_count) const
+{
+    ExecEntry e;
+    if (policy_.exactKernels) {
+        const Mapping m = mapper_.search(
+            node, std::max<std::int64_t>(v_exec, 1), tile_count);
+        e.rowSplit = m.splitFactor(graph::Dim::N) > 1 || tile_count == 1;
+        e.cost = accumulate(e.cost, evalKernel(node, m, v_exec,
+                                               policy_.kernelFitting,
+                                               hw_.tech));
+        return e;
+    }
+    const auto storeIt = st.stores.find(tile_count);
+    ADYNA_ASSERT(storeIt != st.stores.end(), "no kernel store for op ",
+                 st.op, " at ", tile_count, " tiles");
+    const auto &store = *storeIt->second;
+    const auto d = store.dispatch(std::max<std::int64_t>(v_exec, 1));
+    const Mapping &m = store.at(d.index).mapping;
+    e.rowSplit = m.splitFactor(graph::Dim::N) > 1 || tile_count == 1;
+    const std::int64_t full = d.perPass;
+    // Every non-final pass evaluates the kernel with identical
+    // arguments; one evaluation scaled by the pass count is exact
+    // (all-integer costs), so the per-row work collapses to a
+    // per-stage aggregate without changing a single byte.
+    if (d.passes > 1)
+        e.cost = accumulateN(
+            e.cost,
+            evalKernel(node, m, full, policy_.kernelFitting, hw_.tech),
+            d.passes - 1);
+    const std::int64_t lastRows = v_exec - (d.passes - 1) * full;
+    e.cost = accumulate(
+        e.cost, evalKernel(node, m, std::max<std::int64_t>(lastRows, 0),
+                           policy_.kernelFitting, hw_.tech));
+    return e;
+}
+
 void
 Engine::invalidateExecMemo(const Schedule &schedule)
 {
@@ -148,7 +193,6 @@ Engine::invalidateExecMemo(const Schedule &schedule)
 Engine::Engine(const graph::DynGraph &dg, arch::HwConfig hw,
                costmodel::Mapper &mapper, ExecPolicy policy)
     : dg_(dg), hw_(std::move(hw)), mapper_(mapper), policy_(policy),
-      scratchVisited_(dg.graph().size(), 0),
       snake_(arch::snakeTileOrder(hw_))
 {
     if (policy_.perBatchRepartition)
@@ -165,7 +209,7 @@ Engine::buildProducerIndex()
     pindex_.consumers.resize(n);
     pindex_.feedsOutput.assign(n, 0);
 
-    std::vector<char> &visited = scratchVisited_;
+    std::vector<char> visited(n, 0);
     for (OpId op = 0; op < n; ++op) {
         std::fill(visited.begin(), visited.end(), 0);
         resolveProducers(op, false, pindex_.producers[op], visited);
@@ -204,83 +248,6 @@ Engine::resolveProducers(OpId op, bool crossed,
 }
 
 std::vector<Engine::StagePlan>
-Engine::planSegmentLegacy(const Schedule &schedule,
-                          std::size_t seg_index) const
-{
-    const Segment &seg = *schedule.segments[seg_index];
-    std::vector<StagePlan> plans(seg.stages.size());
-
-    std::vector<char> &visited = scratchVisited_;
-    const auto resolve =
-        [&](OpId op, std::vector<std::pair<OpId, bool>> &out) {
-            std::fill(visited.begin(), visited.end(), 0);
-            resolveProducers(op, false, out, visited);
-        };
-
-    for (std::size_t si = 0; si < seg.stages.size(); ++si) {
-        const OpId op = seg.stages[si].op;
-        plans[si].perRowWork =
-            perRowWork(dg_.graph().node(op), hw_.tech);
-        std::vector<std::pair<OpId, bool>> producers;
-        resolve(op, producers);
-        for (const auto &[pid, crossed] : producers) {
-            Edge e;
-            e.producerOp = pid;
-            e.producerStage = seg.stageOf(pid);
-            e.crossesRouting = crossed;
-            const OpNode &pnode = dg_.graph().node(pid);
-            const graph::LoopDims outDims =
-                pnode.kind == OpKind::Input ? pnode.dims
-                                            : dg_.info(pid).outDims;
-            e.perRowBytes = perRowOutBytes(pnode, outDims);
-            plans[si].edges.push_back(e);
-        }
-    }
-
-    // A stage writes to DRAM if any consumer resolves to it from
-    // outside this segment (a later segment or a graph output), or
-    // unconditionally without pipelining.
-    for (std::size_t si = 0; si < seg.stages.size(); ++si) {
-        if (!policy_.pipelining) {
-            plans[si].writesOut = true;
-            continue;
-        }
-        const OpId op = seg.stages[si].op;
-        for (std::size_t s2 = 0; s2 < schedule.segments.size(); ++s2) {
-            if (plans[si].writesOut)
-                break;
-            if (s2 == seg_index)
-                continue;
-            for (const StageAssign &st : schedule.segments[s2]->stages) {
-                std::vector<std::pair<OpId, bool>> producers;
-                resolve(st.op, producers);
-                for (const auto &[pid, crossed] : producers) {
-                    (void)crossed;
-                    if (pid == op) {
-                        plans[si].writesOut = true;
-                        break;
-                    }
-                }
-                if (plans[si].writesOut)
-                    break;
-            }
-        }
-        for (OpId outId : dg_.graph().outputIds()) {
-            if (plans[si].writesOut)
-                break;
-            std::vector<std::pair<OpId, bool>> producers;
-            resolve(outId, producers);
-            for (const auto &[pid, crossed] : producers) {
-                (void)crossed;
-                if (pid == op)
-                    plans[si].writesOut = true;
-            }
-        }
-    }
-    return plans;
-}
-
-std::vector<Engine::StagePlan>
 Engine::planSegmentIndexed(const Schedule &schedule,
                            std::size_t seg_index,
                            const std::vector<int> &seg_of) const
@@ -307,7 +274,7 @@ Engine::planSegmentIndexed(const Schedule &schedule,
 
         // Write-out: any consumer scheduled in ANOTHER segment, or a
         // graph output, resolves to this stage (one reverse-index
-        // walk replaces the legacy all-segments rescan).
+        // walk instead of an all-segments rescan).
         if (!policy_.pipelining) {
             plans[si].writesOut = true;
             continue;
@@ -328,7 +295,7 @@ Engine::planSegmentIndexed(const Schedule &schedule,
 }
 
 const std::vector<std::vector<Engine::StagePlan>> &
-Engine::cachedPlans(const Schedule &schedule)
+Engine::plans(const Schedule &schedule)
 {
     // The lookup key is rebuilt into a member scratch buffer so a
     // cache hit (the steady state) allocates nothing; insertion on a
@@ -356,11 +323,11 @@ Engine::cachedPlans(const Schedule &schedule)
         for (OpId op : key[s])
             segOf[op] = static_cast<int>(s);
 
-    std::vector<std::vector<StagePlan>> plans;
-    plans.reserve(schedule.segments.size());
+    std::vector<std::vector<StagePlan>> segPlans;
+    segPlans.reserve(schedule.segments.size());
     for (std::size_t s = 0; s < schedule.segments.size(); ++s)
-        plans.push_back(planSegmentIndexed(schedule, s, segOf));
-    return planCache_.emplace(key, std::move(plans)).first->second;
+        segPlans.push_back(planSegmentIndexed(schedule, s, segOf));
+    return planCache_.emplace(key, std::move(segPlans)).first->second;
 }
 
 PeriodResult
@@ -398,12 +365,10 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
     // Memoized exec costs are valid only against the kernel stores
     // they were dispatched from; a re-schedule drops the entries of
     // the ops whose stores changed (and only those).
-    if (policy_.execCostMemo) {
-        const std::uint64_t sig = storeSignature(schedule);
-        if (sig != execMemoSig_) {
-            invalidateExecMemo(schedule);
-            execMemoSig_ = sig;
-        }
+    const std::uint64_t sig = storeSignature(schedule);
+    if (sig != execMemoSig_) {
+        invalidateExecMemo(schedule);
+        execMemoSig_ = sig;
     }
 
     const std::vector<TileId> &snake = snake_;
@@ -423,8 +388,8 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
         }
     }
 
-    const std::vector<std::vector<StagePlan>> *allPlans =
-        policy_.planCache ? &cachedPlans(schedule) : nullptr;
+    const std::vector<std::vector<StagePlan>> &allPlans =
+        plans(schedule);
 
     // The inter-segment reconfiguration barrier drains only the
     // tiles this schedule can touch. For a full-grid schedule that
@@ -455,11 +420,7 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
         const Segment &seg = *schedule.segments[s];
         if (seg.stages.empty())
             continue;
-        std::vector<StagePlan> legacyPlans;
-        if (!allPlans)
-            legacyPlans = planSegmentLegacy(schedule, s);
-        const std::vector<StagePlan> &plans =
-            allPlans ? (*allPlans)[s] : legacyPlans;
+        const std::vector<StagePlan> &plans = allPlans[s];
 
         // Load resident weights at segment activation.
         if (seg.residentWeightBytes > 0) {
@@ -647,69 +608,29 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                 // (op, vExec, tileCount) given fixed stores, so it
                 // memoizes; the useful-MACs clamp depends on the
                 // per-batch vActual and is applied after the lookup.
-                ExecCost cost;
-                bool rowSplit = true; // consumer splits rows (N)?
-                bool memoized = false;
                 const std::uint64_t memoKey =
-                    policy_.execCostMemo
-                        ? execMemoKey(st.op, tileCount, vExec)
-                        : 0;
-                if (policy_.execCostMemo) {
-                    const auto it = execMemo_.find(memoKey);
-                    if (it != execMemo_.end()) {
-                        cost = it->second.cost;
-                        rowSplit = it->second.rowSplit;
-                        ++execHits_;
-                        memoized = true;
-                    }
-                }
-                if (!memoized && policy_.exactKernels) {
-                    const Mapping m = mapper_.search(
-                        node, std::max<std::int64_t>(vExec, 1),
-                        tileCount);
-                    rowSplit = m.splitFactor(graph::Dim::N) > 1 ||
-                               tileCount == 1;
-                    cost = accumulate(
-                        cost, evalKernel(node, m, vExec,
-                                         policy_.kernelFitting,
-                                         hw_.tech));
-                } else if (!memoized) {
-                    const auto storeIt = st.stores.find(tileCount);
-                    ADYNA_ASSERT(storeIt != st.stores.end(),
-                                 "no kernel store for op ", st.op,
-                                 " at ", tileCount, " tiles");
-                    const auto &store = *storeIt->second;
-                    const auto d = store.dispatch(
-                        std::max<std::int64_t>(vExec, 1));
-                    const Mapping &m = store.at(d.index).mapping;
-                    rowSplit = m.splitFactor(graph::Dim::N) > 1 ||
-                               tileCount == 1;
-                    const std::int64_t full = d.perPass;
-                    // Every non-final pass evaluates the kernel with
-                    // identical arguments; one evaluation scaled by
-                    // the pass count is exact (all-integer costs), so
-                    // the per-row event work collapses to a per-stage
-                    // aggregate without changing a single byte.
-                    if (d.passes > 1)
-                        cost = accumulateN(
-                            cost,
-                            evalKernel(node, m, full,
-                                       policy_.kernelFitting,
-                                       hw_.tech),
-                            d.passes - 1);
-                    const std::int64_t lastRows =
-                        vExec - (d.passes - 1) * full;
-                    cost = accumulate(
-                        cost,
-                        evalKernel(node, m,
-                                   std::max<std::int64_t>(lastRows, 0),
-                                   policy_.kernelFitting, hw_.tech));
-                }
-                if (!memoized && policy_.execCostMemo) {
+                    execMemoKey(st.op, tileCount, vExec);
+                auto memoIt = execMemo_.find(memoKey);
+                if (memoIt == execMemo_.end()) {
                     ++execMisses_;
-                    execMemo_.emplace(memoKey,
-                                      ExecEntry{cost, rowSplit});
+                    memoIt = execMemo_
+                                 .emplace(memoKey,
+                                          dispatchCost(st, node, vExec,
+                                                       tileCount))
+                                 .first;
+                } else {
+                    ++execHits_;
+#ifdef ADYNA_SANITIZE
+                    ADYNA_ASSERT(dispatchCost(st, node, vExec,
+                                              tileCount) ==
+                                     memoIt->second,
+                                 "exec memo entry for op ", st.op,
+                                 " at ", tileCount, " tiles, v ", vExec,
+                                 " differs from a recompute");
+#endif
                 }
+                ExecCost cost = memoIt->second.cost;
+                const bool rowSplit = memoIt->second.rowSplit;
                 if (!policy_.exactKernels) {
                     // Useful work never exceeds the actual rows.
                     cost.useful = std::min<MacCount>(
@@ -851,7 +772,7 @@ Engine::runPeriod(arch::Chip &chip, const Schedule &schedule,
                     if (healthy == 0) {
                         execCycles = static_cast<Cycles>(
                             static_cast<double>(execCycles) *
-                            policy_.deadGroupPenalty);
+                            kDeadGroupPenalty);
                     } else if (dead > 0) {
                         execCycles *=
                             static_cast<Cycles>(1 + dead);

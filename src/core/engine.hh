@@ -58,38 +58,6 @@ struct ExecPolicy
 
     /** Honor the schedule's tile-sharing pairs at runtime. */
     bool tileSharing = true;
-
-    /**
-     * Memoize per-schedule segment plans (producer edges + write-out
-     * flags) so they are computed once per schedule instead of once
-     * per period, using a precomputed reverse producer index instead
-     * of the quadratic consumer scan. Behaviour-preserving; disable
-     * to force the legacy per-period planner (used by the
-     * equivalence tests).
-     */
-    bool planCache = true;
-
-    /**
-     * Cycle multiplier for a stage whose tile group is entirely dead
-     * (no survivor can re-execute the shards; the host steps in).
-     * Groups with survivors instead stretch by (1 + dead tiles):
-     * SIMD lockstep means each dead shard costs one extra full pass
-     * on a surviving member. Only consulted while the chip reports a
-     * failed tile, so fault-free runs never read it.
-     */
-    double deadGroupPenalty = 32.0;
-
-    /**
-     * Memoize the accumulated kernel-dispatch cost (the possibly
-     * multi-pass evalKernel chain) per (op, executed value, tile
-     * count). Dynamic values are bucketed draws from a small
-     * discrete set, so the per-batch stage loop keeps redoing
-     * identical cost math; entries are invalidated whenever the
-     * schedule's kernel stores change. Behaviour-preserving; disable
-     * to force the seed per-batch path (used by the equivalence
-     * tests).
-     */
-    bool execCostMemo = true;
 };
 
 /**
@@ -148,14 +116,8 @@ class Engine
                    arch::Profiler *profiler, Tick barrier,
                    PeriodResult &out);
 
-    const ExecPolicy &policy() const { return policy_; }
-
-    /** Exec-cost memo statistics (monotone over the engine's life;
-     * the engine is single-threaded, so plain counters suffice). */
-    std::uint64_t execHits() const { return execHits_; }
-    std::uint64_t execMisses() const { return execMisses_; }
-
-  private:
+    /** One producer edge of a stage, resolved through routing
+     * nodes. */
     struct Edge
     {
         /** Producer stage index within the segment, or -1 for an
@@ -172,6 +134,8 @@ class Engine
         bool crossesRouting = false;
     };
 
+    /** Per-schedule plan of one stage: its producer edges and
+     * whether its output goes to DRAM. */
     struct StagePlan
     {
         std::vector<Edge> edges;
@@ -183,6 +147,20 @@ class Engine
         double perRowWork = 0.0;
     };
 
+    /** All segments' stage plans for @p schedule, memoized by
+     * the schedule's segment/stage-op layout (index-based planner:
+     * one linear pass over a precomputed producer index). */
+    const std::vector<std::vector<StagePlan>> &
+    plans(const Schedule &schedule);
+
+    const ExecPolicy &policy() const { return policy_; }
+
+    /** Exec-cost memo statistics (monotone over the engine's life;
+     * the engine is single-threaded, so plain counters suffice). */
+    std::uint64_t execHits() const { return execHits_; }
+    std::uint64_t execMisses() const { return execMisses_; }
+
+  private:
     /** Aggregate cost of one stage execution (possibly multi-pass). */
     struct ExecCost
     {
@@ -191,6 +169,8 @@ class Engine
         MacCount issued = 0;
         Bytes spill = 0;
         Bytes sram = 0;
+
+        bool operator==(const ExecCost &) const = default;
     };
 
     /** One exec-cost memo entry: the accumulated dispatch cost
@@ -200,17 +180,19 @@ class Engine
     {
         ExecCost cost;
         bool rowSplit = true;
+
+        bool operator==(const ExecEntry &) const = default;
     };
 
     /**
      * Graph-structural producer/consumer relationships, independent
-     * of any schedule. Built once per engine; turns the legacy
-     * planner's repeated DFS walks into table lookups.
+     * of any schedule. Built once per engine, so planning a
+     * schedule is table lookups instead of per-stage DFS walks.
      */
     struct ProducerIndex
     {
-        /** Resolved (producer, crossesRouting) pairs per op, in the
-         * legacy DFS discovery order. */
+        /** Resolved (producer, crossesRouting) pairs per op, in DFS
+         * discovery order. */
         std::vector<std::vector<std::pair<OpId, bool>>> producers;
 
         /** Ops that list the key op among their resolved producers
@@ -229,23 +211,11 @@ class Engine
 
     void buildProducerIndex();
 
-    /** The seed per-period planner: per-stage DFS producer
-     * resolution plus an all-segments consumer scan. Kept as the
-     * reference path for ExecPolicy::planCache == false. */
-    std::vector<StagePlan> planSegmentLegacy(const Schedule &schedule,
-                                             std::size_t seg_index) const;
-
-    /** Index-based planner: identical output to planSegmentLegacy in
-     * one linear pass. @p seg_of maps op -> segment index (-1 when
-     * unscheduled). */
+    /** One segment's stage plans. @p seg_of maps op -> segment
+     * index (-1 when unscheduled). */
     std::vector<StagePlan>
     planSegmentIndexed(const Schedule &schedule, std::size_t seg_index,
                        const std::vector<int> &seg_of) const;
-
-    /** All segments' plans for @p schedule, memoized by the
-     * schedule's segment/stage-op layout. */
-    const std::vector<std::vector<StagePlan>> &
-    cachedPlans(const Schedule &schedule);
 
     static ExecCost accumulate(ExecCost acc,
                                const costmodel::KernelCost &c);
@@ -266,6 +236,14 @@ class Engine
      * entries depend on (the segment-level invalidation key). */
     static std::uint64_t storeOpSignature(const StageAssign &st);
 
+    /** Uncached dispatch cost of stage @p st executing @p v_exec
+     * rows on @p tile_count tiles: the exact kernel under
+     * exactKernels, else the (possibly multi-pass) store dispatch.
+     * The exec memo calls it on a miss. */
+    ExecEntry dispatchCost(const StageAssign &st,
+                           const graph::OpNode &node,
+                           std::int64_t v_exec, int tile_count) const;
+
     /** Drop exec-memo entries of ops whose stores changed relative
      * to the previous schedule, keeping every other op's entries
      * warm across a delta re-schedule. */
@@ -284,10 +262,6 @@ class Engine
      * op->segment partition; both are captured here). */
     using PlanKey = std::vector<std::vector<OpId>>;
     std::map<PlanKey, std::vector<std::vector<StagePlan>>> planCache_;
-
-    /** Scratch visited buffer for resolveProducers (reused across
-     * calls instead of reallocating per resolution). */
-    mutable std::vector<char> scratchVisited_;
 
     /** Last M-tenant partition (per-batch repartition hysteresis). */
     std::vector<int> repartCount_;

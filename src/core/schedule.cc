@@ -54,4 +54,28 @@ Schedule::str() const
     return os.str();
 }
 
+std::string
+Schedule::fingerprint() const
+{
+    std::ostringstream os;
+    for (const auto &seg : segments) {
+        for (const StageAssign &st : seg->stages) {
+            os << st.op << ':' << st.baseTiles << ':';
+            for (TileId t : st.tiles)
+                os << t << ',';
+            for (const auto &[count, store] : st.stores) {
+                os << '|' << count;
+                for (const kernels::Kernel &k : store->kernels()) {
+                    os << '/' << k.value << '#';
+                    for (unsigned byte : k.image)
+                        os << byte << '.';
+                }
+            }
+            os << ';';
+        }
+        os << '\n';
+    }
+    return os.str();
+}
+
 } // namespace adyna::core

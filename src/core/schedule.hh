@@ -107,6 +107,11 @@ struct Schedule
 
     /** Human-readable summary. */
     std::string str() const;
+
+    /** Everything the schedule compiles down to: per stage, the op,
+     * tile range and every store's kernel values and encoded
+     * images. Equal fingerprints mean byte-identical schedules. */
+    std::string fingerprint() const;
 };
 
 } // namespace adyna::core

@@ -751,17 +751,15 @@ Scheduler::compileStores(std::vector<Segment> &segments,
     // both the Mapper memo and the store cache are thread-safe, so
     // the jobs are independent; compilation is deterministic, so the
     // schedule is identical whichever path produced each store.
-    kernels::KernelStoreCache *cache =
-        cfg_.storeCache ? storeCache_ : nullptr;
     const auto buildStores = [&](std::size_t i) {
         StoreJob &job = storeJobs[i];
         const OpNode &node = dg_.graph().node(job.stage->op);
         for (int count : job.counts) {
-            if (cache) {
+            if (storeCache_) {
                 job.stage->stores.emplace(
                     count,
-                    cache->getOrCompile(node, job.values, count,
-                                        mapper_, hw_.tech));
+                    storeCache_->getOrCompile(node, job.values, count,
+                                              mapper_, hw_.tech));
             } else {
                 job.stage->stores.emplace(
                     count,

@@ -73,8 +73,7 @@ System::run()
     const std::uint64_t sMisses0 = storeCache.misses();
 
     Scheduler scheduler(dg_, hw_, mapper, schedCfg_);
-    scheduler.setStoreCache(&storeCache); // no-op unless storeCache
-                                          // is configured on
+    scheduler.setStoreCache(&storeCache);
     if (schedulerPool_)
         scheduler.setThreadPool(schedulerPool_);
     Engine engine(dg_, hw_, mapper, policy_);
@@ -230,10 +229,8 @@ System::run()
     report.issuedMacs = chip.issuedMacs();
     report.mapperHits = mapper.hits() - hits0;
     report.mapperMisses = mapper.misses() - misses0;
-    if (schedCfg_.storeCache) {
-        report.storeHits = storeCache.hits() - sHits0;
-        report.storeMisses = storeCache.misses() - sMisses0;
-    }
+    report.storeHits = storeCache.hits() - sHits0;
+    report.storeMisses = storeCache.misses() - sMisses0;
     report.execHits = engine.execHits();
     report.execMisses = engine.execMisses();
     if (injector)

@@ -155,11 +155,10 @@ class System
 
     /**
      * Use @p cache instead of the process-wide
-     * KernelStoreCache::global() for compiled kernel-store reuse
-     * (honoured only while SchedulerConfig::storeCache is set). Must
-     * outlive the run; pass nullptr to restore the global cache.
-     * Results are unaffected; only wall-clock and the cache counters
-     * change.
+     * KernelStoreCache::global() for compiled kernel-store reuse.
+     * Must outlive the run; pass nullptr to restore the global
+     * cache. Results are unaffected; only wall-clock and the cache
+     * counters change.
      */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 

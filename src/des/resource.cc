@@ -8,40 +8,6 @@
 
 namespace adyna::des {
 
-BandwidthResource::BandwidthResource(double bytes_per_tick)
-    : rate_(bytes_per_tick)
-{
-    ADYNA_ASSERT(rate_ > 0.0, "channel rate must be positive: ", rate_);
-}
-
-Tick
-BandwidthResource::serviceTime(Bytes bytes) const
-{
-    if (bytes == 0)
-        return 0;
-    const double ticks = static_cast<double>(bytes) / rate_;
-    return static_cast<Tick>(std::ceil(ticks));
-}
-
-Reservation
-BandwidthResource::acquire(Tick earliest, Bytes bytes)
-{
-    const Tick start = std::max(earliest, busyUntil_);
-    const Tick dur = serviceTime(bytes);
-    busyUntil_ = start + dur;
-    busyTicks_ += dur;
-    bytesServed_ += bytes;
-    return {start, busyUntil_};
-}
-
-void
-BandwidthResource::reset()
-{
-    busyUntil_ = 0;
-    busyTicks_ = 0;
-    bytesServed_ = 0;
-}
-
 GapBandwidthResource::GapBandwidthResource(double bytes_per_tick)
     : rate_(bytes_per_tick)
 {

@@ -95,8 +95,7 @@ Backend::Backend(const BackendEnv &env, const graph::DynGraph &dg,
                     "batcher's maxBatch (got trace batchSize ",
                     traceCfg_.batchSize, " vs maxBatch ",
                     cfg_.batching.maxBatch, ")");
-    scheduler_.setStoreCache(&env_.stores); // no-op unless storeCache
-                                            // is configured on
+    scheduler_.setStoreCache(&env_.stores);
     if (env_.pool)
         scheduler_.setThreadPool(env_.pool);
     if (cfg_.searchOnDrift) {
@@ -236,10 +235,8 @@ Backend::rebuild(Tick now, const std::vector<OpId> *delta)
             rb.schedule = scheduler_.build(expectations_, kernelValues_,
                                            &engineProf_);
         }
-        compiled = env_.schedCfg.storeCache && !bypassStores
-                       ? env_.stores.misses() - misses0
-                       : (rb.delta ? rb.stats.segmentsRebuilt
-                                   : rb.schedule.segments.size());
+        compiled = bypassStores ? rb.schedule.segments.size()
+                                : env_.stores.misses() - misses0;
     }
     if (bypassStores)
         scheduler_.setStoreCache(&env_.stores);
@@ -437,8 +434,7 @@ Backend::closeWindow()
                     scheduler_, rb.schedule,
                     haveTree_ ? &installedTree_ : nullptr, expectations_,
                     kernelValues_, &engineProf_, probeRing_,
-                    env_.schedCfg.storeCache ? &env_.stores : nullptr,
-                    &tally_.search);
+                    &env_.stores, &tally_.search);
                 charge += sr.spentCycles;
                 if (sr.improved) {
                     rb.schedule = std::move(sr.schedule);
@@ -497,10 +493,6 @@ Backend::report(const std::string &workload, bool fault_active) const
     r.goodputRps = slo_.goodputRps(r.horizonTicks);
     r.lastDriftDistance = monitor_.lastDistance();
     r.driftThreshold = monitor_.effectiveThreshold();
-    if (!env_.schedCfg.storeCache) {
-        r.storeHits = 0;
-        r.storeMisses = 0;
-    }
     r.execHits = engine_.execHits();
     r.execMisses = engine_.execMisses();
     r.faultActive = fault_active || injector_ != nullptr ||

@@ -208,9 +208,8 @@ struct ServeReport
      * Cache counters of the serving run: mapper memo and
      * kernel-store cache lookups (best-effort snapshot deltas when
      * the cache is shared across concurrent runtimes) plus the
-     * engine's exec-cost memo (exact). Store counters stay zero when
-     * SchedulerConfig::storeCache is off; warm store hits are what
-     * make drift-triggered re-schedules cheap.
+     * engine's exec-cost memo (exact). Warm store hits are what make
+     * drift-triggered re-schedules cheap.
      */
     std::uint64_t mapperHits = 0;
     std::uint64_t mapperMisses = 0;

@@ -1,12 +1,11 @@
 /**
  * @file
- * Zero-allocation guards for the serve hot path: a steady-state
+ * Zero-allocation guard for the serve hot path: a steady-state
  * Engine::runPeriod (warm plan cache + exec memo, out-param result)
- * and a steady-state Simulator event churn (typed posts recycled
- * through the arena free-list) must not touch the heap.
+ * must not touch the heap.
  *
  * The guard counts calls to the replaceable global operator new. The
- * tests skip under sanitizer builds (ADYNA_SANITIZE): sanitizer
+ * test skips under sanitizer builds (ADYNA_SANITIZE): sanitizer
  * runtimes interpose the allocator and allocate internally, so the
  * counter stops measuring the code under test.
  */
@@ -20,7 +19,6 @@
 #include "arch/chip.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
-#include "des/simulator.hh"
 #include "graph/parser.hh"
 #include "trace/trace.hh"
 
@@ -108,8 +106,7 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
     Scheduler sched(dg, hw(), mapper, SchedulerConfig{});
     const Schedule s = sched.build({}, {}, nullptr);
 
-    ExecPolicy policy; // planCache + execCostMemo default on
-    Engine eng(dg, hw(), mapper, policy);
+    Engine eng(dg, hw(), mapper, ExecPolicy{});
     arch::Chip chip(hw());
 
     trace::TraceConfig tc;
@@ -141,49 +138,6 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
         << "steady-state runPeriod performed " << (after - before)
         << " heap allocations";
     EXPECT_EQ(out.batchEnds.size(), batches.size());
-}
-
-TEST(AllocGuard, SimulatorChurnAllocatesNothingAfterWarmup)
-{
-#ifdef ADYNA_SANITIZE
-    GTEST_SKIP() << "allocation counting is unreliable under "
-                    "sanitizer runtimes";
-#endif
-    des::Simulator sim;
-
-    struct Churn
-    {
-        des::Simulator *sim;
-        int remaining;
-
-        static void
-        handler(void *ctx, std::uint64_t, std::uint64_t)
-        {
-            auto *c = static_cast<Churn *>(ctx);
-            if (c->remaining-- > 0)
-                c->sim->postIn(1 + c->remaining % 13, 1);
-        }
-    };
-    Churn churn{&sim, 0};
-    sim.setHandler(1, &Churn::handler, &churn);
-
-    const auto runBurst = [&] {
-        churn.remaining = 20000;
-        for (int i = 0; i < 24; ++i)
-            sim.postIn(1 + i % 7, 1);
-        sim.run();
-    };
-    runBurst(); // warm-up: grows the arena to its steady-state size
-
-    const std::uint64_t before =
-        g_allocs.load(std::memory_order_relaxed);
-    runBurst();
-    const std::uint64_t after =
-        g_allocs.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state event churn performed " << (after - before)
-        << " heap allocations";
-    EXPECT_EQ(sim.pending(), 0u);
 }
 
 } // namespace

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "arch/profiler.hh"
 #include "core/scheduler.hh"
@@ -307,35 +306,6 @@ TEST(Scheduler, InitialKernelValuesUniformAndCapped)
 
 // ---- delta re-scheduling -------------------------------------------
 
-namespace {
-
-/** Everything a schedule compiles down to, including kernel images. */
-std::string
-deltaFingerprint(const Schedule &s)
-{
-    std::ostringstream os;
-    for (const auto &seg : s.segments) {
-        for (const auto &st : seg->stages) {
-            os << st.op << ':' << st.baseTiles << ':';
-            for (TileId t : st.tiles)
-                os << t << ',';
-            for (const auto &[count, store] : st.stores) {
-                os << '|' << count;
-                for (const auto &k : store->kernels()) {
-                    os << '/' << k.value << '#';
-                    for (unsigned byte : k.image)
-                        os << byte << '.';
-                }
-            }
-            os << ';';
-        }
-        os << '\n';
-    }
-    return os.str();
-}
-
-} // namespace
-
 TEST(SchedulerDelta, AllOpsChangedMatchesFullBuild)
 {
     const auto bundle = models::buildPabee(64);
@@ -356,7 +326,7 @@ TEST(SchedulerDelta, AllOpsChangedMatchesFullBuild)
         sched.buildDelta(base, {}, kv, nullptr, allOps, &stats);
     EXPECT_EQ(stats.segmentsTotal, base.segments.size());
     EXPECT_EQ(stats.segmentsRebuilt, base.segments.size());
-    EXPECT_EQ(deltaFingerprint(rebuilt), deltaFingerprint(base));
+    EXPECT_EQ(rebuilt.fingerprint(), base.fingerprint());
 }
 
 TEST(SchedulerDelta, PureSpliceSharesBaseSegments)
@@ -401,7 +371,7 @@ TEST(SchedulerDelta, SingleChangedOpRebuildsOnlyItsSegment)
     const Schedule delta =
         sched.buildDelta(base, {}, kv, nullptr, {changed}, &stats);
     EXPECT_EQ(stats.segmentsRebuilt, 1u);
-    EXPECT_EQ(deltaFingerprint(delta), deltaFingerprint(base));
+    EXPECT_EQ(delta.fingerprint(), base.fingerprint());
     for (std::size_t i = 0; i + 1 < base.segments.size(); ++i)
         EXPECT_EQ(delta.segments[i].get(), base.segments[i].get());
     EXPECT_NE(delta.segments.back().get(),
@@ -428,7 +398,7 @@ TEST(SchedulerDelta, HealthyTileChangeInvalidatesPartition)
         sched.buildDelta(base, {}, kv, nullptr, {}, &stats);
     EXPECT_EQ(stats.segmentsRebuilt, stats.segmentsTotal);
     const Schedule full = sched.build({}, kv, nullptr);
-    EXPECT_EQ(deltaFingerprint(degraded), deltaFingerprint(full));
+    EXPECT_EQ(degraded.fingerprint(), full.fingerprint());
 }
 
 TEST(SchedulerDelta, LongSpliceChainKeepsFingerprintAndIdentity)
@@ -455,7 +425,7 @@ TEST(SchedulerDelta, LongSpliceChainKeepsFingerprintAndIdentity)
         Schedule next =
             sched.buildDelta(cur, {}, kv, nullptr, {changed}, &stats);
         ASSERT_EQ(stats.segmentsRebuilt, 1u) << "round " << round;
-        ASSERT_EQ(deltaFingerprint(next), deltaFingerprint(base))
+        ASSERT_EQ(next.fingerprint(), base.fingerprint())
             << "round " << round;
         ASSERT_EQ(next.segments.size(), cur.segments.size());
         for (std::size_t i = 0; i < cur.segments.size(); ++i) {
