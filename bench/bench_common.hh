@@ -41,10 +41,6 @@ struct BenchParams
      * serial seed behaviour). */
     int jobs = ThreadPool::defaultJobs();
 
-    /** Share one mapping-search memo cache across the sweep's runs
-     * (--shared-mapper=0 to disable). Results are unaffected. */
-    bool sharedMapper = true;
-
     /** Print mapper-cache statistics to stderr after the sweep
      * (--cache-stats). Kept off stdout so bench tables stay
      * byte-identical across --jobs settings. */
@@ -64,7 +60,6 @@ struct BenchParams
                         p.jobs, " (omit the flag for the default of ",
                         ThreadPool::defaultJobs(),
                         " hardware threads)");
-        p.sharedMapper = args.getBool("shared-mapper", true);
         p.cacheStats = args.getBool("cache-stats", false);
         return p;
     }
@@ -90,8 +85,7 @@ printBanner(const std::string &title, const arch::HwConfig &hw,
     // Harness configuration goes to stderr: stdout must remain
     // byte-identical for any --jobs value.
     std::fprintf(stderr,
-                 "[adyna] sweep harness: jobs=%d shared-mapper=%s\n",
-                 p.jobs, p.sharedMapper ? "on" : "off");
+                 "[adyna] sweep harness: jobs=%d\n", p.jobs);
 }
 
 /** One workload ready to simulate. */
@@ -172,12 +166,8 @@ class Sweep
         return pool_.parallelMap(n, std::forward<Fn>(fn));
     }
 
-    /** The sweep-wide shared mapper (null when --shared-mapper=0). */
-    costmodel::Mapper *
-    sharedMapper()
-    {
-        return p_.sharedMapper ? &mapper_ : nullptr;
-    }
+    /** The sweep-wide shared mapper. */
+    costmodel::Mapper *sharedMapper() { return &mapper_; }
 
     /** runDesign through the shared mapper. */
     core::RunReport

@@ -232,8 +232,7 @@ main(int argc, char **argv)
             baselines::schedulerConfig(baselines::Design::Adyna),
             baselines::execPolicy(baselines::Design::Adyna),
             std::move(mc));
-        if (sweep.sharedMapper())
-            rt.setSharedMapper(sweep.sharedMapper());
+        rt.setSharedMapper(sweep.sharedMapper());
         return rt.run();
     };
     const auto reports = sweep.map(specs.size(), runSpec);

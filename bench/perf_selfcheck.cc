@@ -8,9 +8,9 @@
  *    sweep, and (C) the same plus the --jobs thread pool -- verifying
  *    that all three produce identical reports.
  * 2. The reconfiguration-latency bench: N re-schedules per workload
- *    cold (fresh mapper, no store cache), cold with the parallel
- *    per-stage store build, and warm (primed kernel-store cache +
- *    mapper memo), verifying cold- and warm-built schedules are
+ *    cold (fresh mapper, no store cache) and warm (primed
+ *    kernel-store cache + mapper memo), verifying cold- and
+ *    warm-built schedules are
  *    identical down to the encoded kernel images.
  * 3. The delta re-schedule bench: warm full rebuilds vs pure-splice
  *    Scheduler::buildDelta calls on the most segmented workload,
@@ -134,7 +134,6 @@ reportsIdentical(const std::vector<core::RunReport> &a,
 struct ReconfigResult
 {
     double coldMs = 0.0;
-    double coldParallelMs = 0.0;
     double warmMs = 0.0;
     bool identical = false;
     std::uint64_t storeHits = 0;
@@ -144,13 +143,11 @@ struct ReconfigResult
 /**
  * Time @p rounds re-schedules of one workload. Cold builds recompile
  * every store through a fresh mapper (the seed re-schedule path);
- * the parallel variant adds the per-stage thread-pool build; warm
- * builds reuse a primed kernel-store cache, the path a
+ * warm builds reuse a primed kernel-store cache, the path a
  * drift-triggered re-schedule takes in the serving runtime.
  */
 ReconfigResult
-runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds,
-            int jobs)
+runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds)
 {
     const auto scfg =
         baselines::schedulerConfig(Design::Adyna);
@@ -180,19 +177,6 @@ runReconfig(const Workload &w, const arch::HwConfig &hw, int rounds,
             (void)s.build(expectations, kernelValues, nullptr);
         }
         out.coldMs = (nowMs() - t0) / rounds;
-    }
-
-    // Cold + parallel per-stage store build.
-    {
-        ThreadPool pool(jobs);
-        const double t0 = nowMs();
-        for (int r = 0; r < rounds; ++r) {
-            costmodel::Mapper m(hw.tech);
-            core::Scheduler s(w.dg, hw, m, scfg);
-            s.setThreadPool(&pool);
-            (void)s.build(expectations, kernelValues, nullptr);
-        }
-        out.coldParallelMs = (nowMs() - t0) / rounds;
     }
 
     // Warm: one untimed priming build, then re-schedules against the
@@ -409,14 +393,12 @@ main(int argc, char **argv)
     // ---- 2. reconfiguration latency --------------------------------
     std::vector<ReconfigResult> reconfigs;
     for (const Workload &w : workloads)
-        reconfigs.push_back(
-            runReconfig(w, hw, reconfigRounds, p.jobs));
+        reconfigs.push_back(runReconfig(w, hw, reconfigRounds));
 
     TextTable rt("Re-schedule latency (ms per build, " +
                  std::to_string(reconfigRounds) + " rounds)");
-    rt.header({"workload", "cold", "cold --jobs", "warm", "speedup",
-               "identical"});
-    double coldSum = 0.0, coldParSum = 0.0, warmSum = 0.0;
+    rt.header({"workload", "cold", "warm", "speedup", "identical"});
+    double coldSum = 0.0, warmSum = 0.0;
     double bestSpeedup = 0.0;
     bool schedulesIdentical = true;
     for (std::size_t i = 0; i < workloads.size(); ++i) {
@@ -425,11 +407,9 @@ main(int argc, char **argv)
             r.warmMs > 0.0 ? r.coldMs / r.warmMs : 0.0;
         bestSpeedup = std::max(bestSpeedup, spd);
         coldSum += r.coldMs;
-        coldParSum += r.coldParallelMs;
         warmSum += r.warmMs;
         schedulesIdentical = schedulesIdentical && r.identical;
         rt.row({workloads[i].name, TextTable::num(r.coldMs, 2),
-                TextTable::num(r.coldParallelMs, 2),
                 TextTable::num(r.warmMs, 3), TextTable::mult(spd),
                 r.identical ? "yes" : "NO"});
     }
@@ -480,7 +460,6 @@ main(int argc, char **argv)
             const ReconfigResult &r = reconfigs[i];
             os << "    {\"workload\": \"" << workloads[i].name
                << "\", \"cold_ms\": " << r.coldMs
-               << ", \"cold_parallel_ms\": " << r.coldParallelMs
                << ", \"warm_ms\": " << r.warmMs << ", \"speedup\": "
                << (r.warmMs > 0.0 ? r.coldMs / r.warmMs : 0.0)
                << ", \"store_hits\": " << r.storeHits
@@ -490,7 +469,6 @@ main(int argc, char **argv)
                << (i + 1 < workloads.size() ? "," : "") << "\n";
         }
         os << "  ],\n  \"reconfig_cold_ms\": " << coldSum
-           << ",\n  \"reconfig_cold_parallel_ms\": " << coldParSum
            << ",\n  \"reconfig_warm_ms\": " << warmSum
            << ",\n  \"reconfig_speedup\": " << bestSpeedup
            << ",\n  \"schedules_identical\": "

@@ -3,21 +3,16 @@
  * Offline schedule-search sweep: for each paper workload, build the
  * heuristic Adyna schedule, then run the anytime SA/beam search
  * (src/search) with a fixed mutation budget and score both on the
- * same probe batches. Two gates ride on the output:
+ * same probe batches. The searched schedule must strictly beat the
+ * heuristic one on at least @c --min-improved of the five workloads
+ * (the search never ships a worse schedule: it falls back to the
+ * heuristic when nothing better materializes).
  *
- *  1. Quality — the searched schedule must strictly beat the
- *     heuristic one on at least @c --min-improved of the five
- *     workloads (the search never ships a worse schedule: it falls
- *     back to the heuristic when nothing better materializes).
- *  2. Determinism — the search is re-run with a single-thread pool
- *     and with the --jobs pool; any divergence in cost, winner
- *     fingerprint, or counters is fatal. `BENCH_search.json`
- *     contains no thread-count-dependent field, so the file itself
- *     must be byte-identical across --jobs values (the CI diff
- *     gate).
- *
- * Wall-clock timings go to stderr only; stdout and the JSON stay
- * byte-stable.
+ * Each search runs serially on the calling thread and depends only
+ * on its configuration, so `BENCH_search.json` (which has no
+ * wall-clock or thread-count field) is byte-identical across runs;
+ * CI diffs two runs to check that. Wall-clock timings go to stderr
+ * only.
  */
 
 #include <chrono>
@@ -90,15 +85,13 @@ main(int argc, char **argv)
         makeAllWorkloads(p.batchSize);
 
     /**
-     * One full search on one workload with a private mapper, store
-     * cache, and pool — every counter is attributable and the
-     * outcome depends only on the configuration, never on --jobs.
+     * One full search on one workload with a private mapper and
+     * store cache, so every counter is attributable and the outcome
+     * depends only on the configuration.
      */
-    const auto searchWorkload = [&](const Workload &w,
-                                    int pool_jobs) {
+    const auto searchWorkload = [&](const Workload &w) {
         costmodel::Mapper mapper(hw.tech);
         kernels::KernelStoreCache storeCache;
-        ThreadPool pool(pool_jobs);
 
         trace::TraceConfig tc = w.bundle.traceConfig;
         tc.batchSize = p.batchSize;
@@ -110,7 +103,6 @@ main(int argc, char **argv)
 
         core::Scheduler scheduler(w.dg, hw, mapper, schedCfg);
         scheduler.setStoreCache(&storeCache);
-        scheduler.setThreadPool(&pool);
 
         // Offline profiling at the compiled batch size (the System /
         // ServeRuntime profiling loop).
@@ -144,7 +136,6 @@ main(int argc, char **argv)
 
         search::ScheduleSearch searcher(w.dg, hw, mapper, policy,
                                         scfg);
-        searcher.setThreadPool(&pool);
 
         Cell cell;
         cell.workload = w.name;
@@ -162,45 +153,18 @@ main(int argc, char **argv)
     int improvedCount = 0;
     for (const Workload &w : workloads) {
         const double t0 = nowMs();
-        const Cell serial = searchWorkload(w, 1);
-        const double t1 = nowMs();
-        const Cell parallel = searchWorkload(w, p.jobs);
-        const double t2 = nowMs();
-        std::fprintf(stderr,
-                     "[adyna] %s: search %.0f ms serial, %.0f ms "
-                     "with %d jobs\n",
-                     w.name.c_str(), t1 - t0, t2 - t1, p.jobs);
+        Cell cell = searchWorkload(w);
+        std::fprintf(stderr, "[adyna] %s: search %.0f ms\n",
+                     w.name.c_str(), nowMs() - t0);
 
-        // Determinism gate: the search result is part of the
-        // simulation output, so it must be independent of the
-        // worker count down to the counters.
-        if (serial.heuristicCost != parallel.heuristicCost ||
-            serial.searchedCost != parallel.searchedCost ||
-            serial.improved != parallel.improved ||
-            serial.winnerFp != parallel.winnerFp ||
-            serial.stats.candidatesTried !=
-                parallel.stats.candidatesTried ||
-            serial.stats.candidatesAccepted !=
-                parallel.stats.candidatesAccepted ||
-            serial.stats.materialized !=
-                parallel.stats.materialized ||
-            serial.stats.budgetSpentCycles !=
-                parallel.stats.budgetSpentCycles)
-            ADYNA_FATAL("search diverged across --jobs on ",
-                        w.name, ": serial searched ",
-                        serial.searchedCost, " (fp ",
-                        serial.winnerFp, "), parallel searched ",
-                        parallel.searchedCost, " (fp ",
-                        parallel.winnerFp, ")");
-
-        if (serial.searchedCost > serial.heuristicCost)
+        if (cell.searchedCost > cell.heuristicCost)
             ADYNA_FATAL("search regressed on ", w.name,
-                        ": searched ", serial.searchedCost,
-                        " > heuristic ", serial.heuristicCost,
+                        ": searched ", cell.searchedCost,
+                        " > heuristic ", cell.heuristicCost,
                         " — the fallback must make this impossible");
 
-        improvedCount += serial.improved ? 1 : 0;
-        cells.push_back(serial);
+        improvedCount += cell.improved ? 1 : 0;
+        cells.push_back(std::move(cell));
     }
 
     TextTable table("Searched vs heuristic (probe makespan, cycles)");
@@ -228,7 +192,7 @@ main(int argc, char **argv)
 
     // ---- BENCH_search.json -----------------------------------------
     // Deliberately no jobs/wall-clock fields: the file must be
-    // byte-identical across --jobs values.
+    // byte-identical across runs.
     const std::string jsonPath =
         args.getString("json", "BENCH_search.json");
     {

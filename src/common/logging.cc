@@ -2,27 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace adyna {
-
-namespace {
-
-LogLevel gLogLevel = LogLevel::Normal;
-
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    gLogLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return gLogLevel;
-}
 
 namespace detail {
 
@@ -50,20 +31,6 @@ void
 warnImpl(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (gLogLevel != LogLevel::Quiet)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-verboseImpl(const std::string &msg)
-{
-    if (gLogLevel == LogLevel::Verbose)
-        std::fprintf(stderr, "verbose: %s\n", msg.c_str());
 }
 
 } // namespace detail

@@ -7,7 +7,6 @@
  * fatal()  - the simulation cannot continue due to a user error (bad
  *            configuration, invalid arguments); exits with code 1.
  * warn()   - functionality is approximated but the run can continue.
- * inform() - progress or status messages.
  */
 
 #ifndef ADYNA_COMMON_LOGGING_HH
@@ -17,15 +16,6 @@
 #include <string>
 
 namespace adyna {
-
-/** Verbosity levels for inform(); warnings and errors always print. */
-enum class LogLevel { Quiet, Normal, Verbose };
-
-/** Set the global verbosity for inform()/verbose(). */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
 
 namespace detail {
 
@@ -54,8 +44,6 @@ concat(const Args &...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-void verboseImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -71,12 +59,6 @@ void verboseImpl(const std::string &msg);
 
 #define ADYNA_WARN(...)                                                    \
     ::adyna::detail::warnImpl(::adyna::detail::concat(__VA_ARGS__))
-
-#define ADYNA_INFORM(...)                                                  \
-    ::adyna::detail::informImpl(::adyna::detail::concat(__VA_ARGS__))
-
-#define ADYNA_VERBOSE(...)                                                 \
-    ::adyna::detail::verboseImpl(::adyna::detail::concat(__VA_ARGS__))
 
 /** Check an internal invariant; panics (aborts) on failure. */
 #define ADYNA_ASSERT(cond, ...)                                            \

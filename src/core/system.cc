@@ -17,16 +17,17 @@ System::System(const graph::DynGraph &dg, trace::TraceConfig trace_cfg,
       policy_(policy), options_(options),
       designName_(std::move(design_name))
 {
-    ADYNA_ASSERT(options_.numBatches > 0, "numBatches must be > 0");
+    if (options_.numBatches <= 0)
+        ADYNA_FATAL("numBatches must be > 0 (got ",
+                    options_.numBatches, ")");
 }
 
 void
 System::setReplay(std::vector<trace::BatchRouting> replay)
 {
-    ADYNA_ASSERT(static_cast<int>(replay.size()) >=
-                     options_.numBatches,
-                 "replay trace holds ", replay.size(),
-                 " batches but the run needs ", options_.numBatches);
+    if (static_cast<int>(replay.size()) < options_.numBatches)
+        ADYNA_FATAL("replay trace holds ", replay.size(),
+                    " batches but the run needs ", options_.numBatches);
     replay_ = std::move(replay);
 }
 
@@ -40,12 +41,6 @@ void
 System::setSharedStoreCache(kernels::KernelStoreCache *cache)
 {
     sharedStoreCache_ = cache;
-}
-
-void
-System::setSchedulerPool(ThreadPool *pool)
-{
-    schedulerPool_ = pool;
 }
 
 void
@@ -74,8 +69,6 @@ System::run()
 
     Scheduler scheduler(dg_, hw_, mapper, schedCfg_);
     scheduler.setStoreCache(&storeCache);
-    if (schedulerPool_)
-        scheduler.setThreadPool(schedulerPool_);
     Engine engine(dg_, hw_, mapper, policy_);
     arch::Chip chip(hw_);
     arch::Profiler profiler;

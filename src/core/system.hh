@@ -163,15 +163,6 @@ class System
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 
     /**
-     * Build per-stage kernel stores on @p pool during (re-)schedules
-     * instead of serially on the run's thread. The pool must outlive
-     * the run; nullptr restores serial builds. Nested parallelFor
-     * degrades to inline execution, so a System already running as a
-     * pool task may safely receive the same pool.
-     */
-    void setSchedulerPool(ThreadPool *pool);
-
-    /**
      * Inject @p plan during the run: events fire on the chip clock at
      * period boundaries, and a healthy-tile change triggers a
      * degraded re-schedule onto the survivors (unless the design is
@@ -195,7 +186,6 @@ class System
     std::vector<trace::BatchRouting> replay_;
     costmodel::Mapper *sharedMapper_ = nullptr;
     kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-    ThreadPool *schedulerPool_ = nullptr;
     fault::FaultPlan faultPlan_;
     std::uint64_t faultSeed_ = 0;
 };

@@ -214,16 +214,6 @@ Graph::topoOrder() const
 }
 
 std::vector<OpId>
-Graph::inputIds() const
-{
-    std::vector<OpId> out;
-    for (const OpNode &n : nodes_)
-        if (n.kind == OpKind::Input)
-            out.push_back(n.id);
-    return out;
-}
-
-std::vector<OpId>
 Graph::outputIds() const
 {
     std::vector<OpId> out;

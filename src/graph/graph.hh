@@ -101,9 +101,6 @@ class Graph
     /** Topological order of all node ids; fatal() if cyclic. */
     std::vector<OpId> topoOrder() const;
 
-    /** Ids of Input nodes. */
-    std::vector<OpId> inputIds() const;
-
     /** Ids of Output nodes. */
     std::vector<OpId> outputIds() const;
 

@@ -154,12 +154,6 @@ MTenantRuntime::setSharedStoreCache(kernels::KernelStoreCache *cache)
     sharedStoreCache_ = cache;
 }
 
-void
-MTenantRuntime::setSchedulerPool(ThreadPool *pool)
-{
-    schedulerPool_ = pool;
-}
-
 MTenantReport
 MTenantRuntime::run()
 {
@@ -172,8 +166,7 @@ MTenantRuntime::run()
         hw_, schedCfg_, policy_,
         sharedMapper_ ? *sharedMapper_ : *localMapper,
         sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global(),
-        schedulerPool_};
+                          : kernels::KernelStoreCache::global()};
 
     // ---- initial partition -----------------------------------------
     TilePartitioner partitioner(hw_, cfg_.partition);

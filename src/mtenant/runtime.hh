@@ -205,9 +205,6 @@ class MTenantRuntime
      * repartitions. */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 
-    /** Build kernel stores on @p pool during (re-)schedules. */
-    void setSchedulerPool(ThreadPool *pool);
-
     /** Serve every tenant's numRequests requests and report. */
     MTenantReport run();
 
@@ -219,7 +216,6 @@ class MTenantRuntime
     MTenantConfig cfg_;
     costmodel::Mapper *sharedMapper_ = nullptr;
     kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-    ThreadPool *schedulerPool_ = nullptr;
 };
 
 } // namespace adyna::mtenant

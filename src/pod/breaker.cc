@@ -2,19 +2,6 @@
 
 namespace adyna::pod {
 
-const char *
-breakerStateName(BreakerState state)
-{
-    switch (state) {
-      case BreakerState::Closed:
-        return "closed";
-      case BreakerState::Open:
-        return "open";
-      default:
-        return "half_open";
-    }
-}
-
 void
 CircuitBreaker::open(Tick now, bool probation_failed)
 {

@@ -62,9 +62,6 @@ struct BreakerConfig
 
 enum class BreakerState { Closed, Open, HalfOpen };
 
-/** Lower-case state name ("closed" / "open" / "half_open"). */
-const char *breakerStateName(BreakerState state);
-
 /** One chip's health state machine (see file comment). */
 class CircuitBreaker
 {

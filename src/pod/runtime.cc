@@ -352,12 +352,6 @@ PodRuntime::setSharedStoreCache(kernels::KernelStoreCache *cache)
     sharedStoreCache_ = cache;
 }
 
-void
-PodRuntime::setSchedulerPool(ThreadPool *pool)
-{
-    schedulerPool_ = pool;
-}
-
 PodReport
 PodRuntime::runSingle()
 {
@@ -385,8 +379,6 @@ PodRuntime::runSingle()
         rt.setSharedMapper(sharedMapper_);
     if (sharedStoreCache_)
         rt.setSharedStoreCache(sharedStoreCache_);
-    if (schedulerPool_)
-        rt.setSchedulerPool(schedulerPool_);
 
     PodReport report;
     report.policy = routePolicyName(cfg_.router.policy);
@@ -428,8 +420,7 @@ PodRuntime::run()
         hw_, schedCfg_, policy_,
         sharedMapper_ ? *sharedMapper_ : *localMapper,
         sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global(),
-        schedulerPool_};
+                          : kernels::KernelStoreCache::global()};
 
     Interconnect ic(cfg_.interconnect, K);
     Router router(cfg_.router, K);

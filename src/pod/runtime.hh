@@ -349,9 +349,6 @@ class PodRuntime
      * contract as ServeRuntime::setSharedStoreCache). */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 
-    /** Build kernel stores on @p pool during (re-)schedules. */
-    void setSchedulerPool(ThreadPool *pool);
-
     /** Serve PodConfig::serve.numRequests requests and report. */
     PodReport run();
 
@@ -373,7 +370,6 @@ class PodRuntime
 
     costmodel::Mapper *sharedMapper_ = nullptr;
     kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-    ThreadPool *schedulerPool_ = nullptr;
 };
 
 } // namespace adyna::pod

@@ -255,20 +255,10 @@ ScheduleSearch::run(core::Scheduler &scheduler,
     }
     const int perChain = proposals / cfg_.chains;
 
-    const auto chains = [&] {
-        const auto one = [&](std::size_t i) {
-            return runChain(ctx, baseState, static_cast<int>(i),
-                            perChain);
-        };
-        if (pool_ && cfg_.chains > 1)
-            return pool_->parallelMap(
-                static_cast<std::size_t>(cfg_.chains), one);
-        std::vector<ChainResult> out;
-        out.reserve(static_cast<std::size_t>(cfg_.chains));
-        for (int i = 0; i < cfg_.chains; ++i)
-            out.push_back(one(static_cast<std::size_t>(i)));
-        return out;
-    }();
+    std::vector<ChainResult> chains;
+    chains.reserve(static_cast<std::size_t>(cfg_.chains));
+    for (int i = 0; i < cfg_.chains; ++i)
+        chains.push_back(runChain(ctx, baseState, i, perChain));
 
     // Merge per chain kind, then interleave local candidates first:
     // the real engine adjudicates every materialized candidate, but
@@ -390,10 +380,11 @@ ScheduleSearch::run(core::Scheduler &scheduler,
 
         scratchOverride = std::move(ov);
         scheduler.setPlanOverride(&scratchOverride);
-        // Charge by unique insertions, not the miss counter:
-        // buildDelta's workers may race-compile one key, so the
-        // miss count depends on thread interleaving while the
-        // cache-size delta does not.
+        // Charge by unique insertions, not the miss counter: sweep
+        // cells on other threads share the cache and may
+        // race-compile one key (getOrCompile compiles outside its
+        // lock), so the miss count depends on thread interleaving
+        // while each key grows the cache once.
         const std::uint64_t stores0 =
             store_cache ? store_cache->size() : 0;
         core::DeltaStats ds;

@@ -3,10 +3,10 @@
  * Anytime, budget-bounded schedule search: K simulated-annealing
  * chains over the cheap-mutate plan tree (tree.hh), a greedy refine
  * tail per chain, and a serial materialization pass that evaluates
- * the surviving candidates on the real engine. The whole run is
- * byte-stable across thread counts: the chain count is configuration
- * (not --jobs), every chain owns a seeded RNG stream, and candidates
- * are merged/tie-broken by (cost, fingerprint).
+ * the surviving candidates on the real engine. The chains run one
+ * after another on the caller's thread; every chain owns a seeded RNG
+ * stream and candidates are merged/tie-broken by (cost, fingerprint),
+ * so a run is a pure function of its inputs and configuration.
  *
  * Budget semantics: the search charges itself a modeled cycle cost
  * (mutations, materializations, store compiles) against
@@ -24,7 +24,6 @@
 
 #include "arch/hwconfig.hh"
 #include "arch/profiler.hh"
-#include "common/parallel.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
 #include "core/search_stats.hh"
@@ -39,9 +38,8 @@ namespace adyna::search {
 /** Search policy knobs. */
 struct SearchConfig
 {
-    /** Independent SA chains. Part of the result's identity — NOT
-     * derived from the thread count, so results are byte-stable
-     * across --jobs. */
+    /** Independent SA chains, each with its own RNG stream. Part of
+     * the result's identity. */
     int chains = 4;
 
     /** Total mutation proposals across all chains (split evenly;
@@ -108,10 +106,6 @@ class ScheduleSearch
                    const arch::HwConfig &hw,
                    costmodel::Mapper &mapper, core::ExecPolicy policy,
                    SearchConfig cfg);
-
-    /** Run chains on @p pool (nullptr = serial). Results are
-     * identical either way. */
-    void setThreadPool(ThreadPool *pool) { pool_ = pool; }
 
     const SearchConfig &config() const { return cfg_; }
 
@@ -208,7 +202,6 @@ class ScheduleSearch
     costmodel::Mapper &mapper_;
     core::ExecPolicy policy_;
     SearchConfig cfg_;
-    ThreadPool *pool_ = nullptr;
 
     /** Private evaluation engine: its plan/exec caches stay warm
      * across candidates and its counters never leak into the

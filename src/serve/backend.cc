@@ -96,14 +96,10 @@ Backend::Backend(const BackendEnv &env, const graph::DynGraph &dg,
                     traceCfg_.batchSize, " vs maxBatch ",
                     cfg_.batching.maxBatch, ")");
     scheduler_.setStoreCache(&env_.stores);
-    if (env_.pool)
-        scheduler_.setThreadPool(env_.pool);
     if (cfg_.searchOnDrift) {
         search::SearchConfig scfg = cfg_.search;
         scfg.storeCompileCycles = cfg_.storeCompileCycles;
         searcher_.emplace(dg_, env_.hw, env_.mapper, env_.policy, scfg);
-        if (env_.pool)
-            searcher_->setThreadPool(env_.pool);
     }
 }
 

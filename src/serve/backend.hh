@@ -48,7 +48,6 @@ struct BackendEnv
     const core::ExecPolicy &policy;
     costmodel::Mapper &mapper;
     kernels::KernelStoreCache &stores;
-    ThreadPool *pool = nullptr;
 };
 
 /** One chip's (or one tile region's) serving state and loop steps. */

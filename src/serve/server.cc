@@ -133,12 +133,6 @@ ServeRuntime::setSharedStoreCache(kernels::KernelStoreCache *cache)
     sharedStoreCache_ = cache;
 }
 
-void
-ServeRuntime::setSchedulerPool(ThreadPool *pool)
-{
-    schedulerPool_ = pool;
-}
-
 ServeReport
 ServeRuntime::run()
 {
@@ -150,7 +144,7 @@ ServeRuntime::run()
                           : kernels::KernelStoreCache::global();
     const BackendEnv env{hw_, schedCfg_, policy_,
                          sharedMapper_ ? *sharedMapper_ : *localMapper,
-                         storeCache, schedulerPool_};
+                         storeCache};
     arch::Chip chip(hw_);
 
     // With an empty plan the injector never exists and no loop branch

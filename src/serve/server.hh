@@ -307,10 +307,6 @@ class ServeRuntime
      * System::setSharedStoreCache). */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 
-    /** Build per-stage kernel stores on @p pool during (re-)schedules
-     * (same contract as System::setSchedulerPool). */
-    void setSchedulerPool(ThreadPool *pool);
-
     /** Serve ServeConfig::numRequests requests and report. */
     ServeReport run();
 
@@ -324,7 +320,6 @@ class ServeRuntime
     std::string workloadName_;
     costmodel::Mapper *sharedMapper_ = nullptr;
     kernels::KernelStoreCache *sharedStoreCache_ = nullptr;
-    ThreadPool *schedulerPool_ = nullptr;
 };
 
 } // namespace adyna::serve

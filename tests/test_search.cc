@@ -15,7 +15,6 @@
 
 #include "arch/profiler.hh"
 #include "baselines/designs.hh"
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/sampling.hh"
 #include "core/validate.hh"
@@ -242,32 +241,30 @@ TEST(ScheduleSearch, NeverWorseThanHeuristicAndValid)
     }
 }
 
-TEST(ScheduleSearch, ByteStableAcrossThreadPoolWidths)
+TEST(ScheduleSearch, ByteStableAcrossRepeatRuns)
 {
-    auto runWith = [](int jobs, core::SearchStats &stats) {
+    auto runOnce = [](core::SearchStats &stats) {
         SearchFixture f("pabee");
         ScheduleSearch searcher(
             f.dg, hw(), f.mapper,
             baselines::execPolicy(baselines::Design::Adyna),
             smallConfig());
-        ThreadPool pool(jobs);
-        searcher.setThreadPool(&pool);
         return searcher.run(f.scheduler, f.base, nullptr,
                             f.expectations, f.kernelValues, &f.prof,
                             f.probe, &f.storeCache, &stats);
     };
-    core::SearchStats s1, s4;
-    const auto a = runWith(1, s1);
-    const auto b = runWith(4, s4);
+    core::SearchStats s1, s2;
+    const auto a = runOnce(s1);
+    const auto b = runOnce(s2);
     EXPECT_EQ(a.searchedCost, b.searchedCost);
     EXPECT_EQ(a.heuristicCost, b.heuristicCost);
     EXPECT_EQ(a.improved, b.improved);
     EXPECT_EQ(PlanTree::fingerprint(a.tree),
               PlanTree::fingerprint(b.tree));
-    EXPECT_EQ(s1.candidatesTried, s4.candidatesTried);
-    EXPECT_EQ(s1.candidatesAccepted, s4.candidatesAccepted);
-    EXPECT_EQ(s1.materialized, s4.materialized);
-    EXPECT_EQ(s1.budgetSpentCycles, s4.budgetSpentCycles);
+    EXPECT_EQ(s1.candidatesTried, s2.candidatesTried);
+    EXPECT_EQ(s1.candidatesAccepted, s2.candidatesAccepted);
+    EXPECT_EQ(s1.materialized, s2.materialized);
+    EXPECT_EQ(s1.budgetSpentCycles, s2.budgetSpentCycles);
 }
 
 TEST(ScheduleSearch, RespectsCycleBudget)

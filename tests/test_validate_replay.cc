@@ -156,6 +156,30 @@ TEST(Replay, RejectsMalformedInput)
     }
 }
 
+TEST(Replay, SystemRejectsZeroBatches)
+{
+    const auto bundle = models::buildSkipNet(16);
+    const auto dg = graph::parseModel(bundle.graph);
+    EXPECT_EXIT((void)baselines::makeSystem(
+                    dg, bundle.traceConfig, hw(),
+                    baselines::Design::AdynaStatic, 0, 1),
+                ::testing::ExitedWithCode(1), "numBatches must be > 0");
+}
+
+TEST(Replay, SystemRejectsTooShortTrace)
+{
+    const auto bundle = models::buildSkipNet(16);
+    const auto dg = graph::parseModel(bundle.graph);
+    trace::TraceGenerator gen(dg, bundle.traceConfig, 3);
+    auto captured = trace::captureTrace(gen, 4);
+    auto sys = baselines::makeSystem(dg, bundle.traceConfig, hw(),
+                                     baselines::Design::AdynaStatic,
+                                     10, 3);
+    EXPECT_EXIT(sys.setReplay(std::move(captured)),
+                ::testing::ExitedWithCode(1),
+                "replay trace holds 4 batches but the run needs 10");
+}
+
 TEST(Replay, SystemReplayMatchesGeneratorOnSameData)
 {
     const auto bundle = models::buildSkipNet(32);
