@@ -69,6 +69,7 @@ main(int argc, char **argv)
     BenchParams p = BenchParams::fromArgs(args);
     if (!args.has("batches"))
         p.batches = 100;
+    args.rejectUnread();
     const arch::HwConfig base;
     printBanner("=== Extension: hardware design-space sweep ===", base,
                 p);

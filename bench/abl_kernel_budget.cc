@@ -22,6 +22,7 @@ main(int argc, char **argv)
     BenchParams p = BenchParams::fromArgs(args);
     if (!args.has("batches"))
         p.batches = 120;
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Ablation: kernels per operator (multi-kernel "
                 "budget) ===",

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     BenchParams p = BenchParams::fromArgs(args);
     if (!args.has("batches"))
         p.batches = 200;
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Ablation: tile sharing and branch grouping ===",
                 hw, p);

@@ -23,6 +23,7 @@ main(int argc, char **argv)
     BenchParams p = BenchParams::fromArgs(args);
     if (!args.has("batches"))
         p.batches = 240;
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Ablation: kernel sampling policy under drift ===",
                 hw, p);

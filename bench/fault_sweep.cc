@@ -87,6 +87,11 @@ main(int argc, char **argv)
     const int probeStride =
         static_cast<int>(args.getInt("probe-stride", 4));
     const bool probeOnly = args.getInt("probe-only", 0) != 0;
+    const int probeReq = static_cast<int>(args.getInt(
+        "probe-requests", std::min(requests, 300)));
+    const std::string jsonPath =
+        args.getString("json", "BENCH_fault.json");
+    args.rejectUnread();
     p.batchSize = maxBatch;
     const arch::HwConfig hw;
     printBanner("=== Fault injection: adaptive fail-over vs static "
@@ -188,8 +193,6 @@ main(int argc, char **argv)
         for (int t = 0; t < hw.tiles(); t += probeStride)
             candidates.push_back(t);
     }
-    const int probeReq = static_cast<int>(args.getInt(
-        "probe-requests", std::min(requests, 300)));
     const auto probeGoodput =
         sweep.map(workloads.size() * candidates.size(),
                   [&](std::size_t i) {
@@ -334,8 +337,6 @@ main(int argc, char **argv)
     }
 
     // ---- BENCH_fault.json ------------------------------------------
-    const std::string jsonPath =
-        args.getString("json", "BENCH_fault.json");
     {
         std::ofstream out(jsonPath);
         out << "{\n  \"bench\": \"fault_sweep\",\n  "

@@ -30,6 +30,7 @@ main(int argc, char **argv)
     BenchParams p = BenchParams::fromArgs(args);
     if (!args.has("batches"))
         p.batches = 200;
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Figure 6: allocation strategies on a two-branch "
                 "skip block ===",

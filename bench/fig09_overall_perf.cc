@@ -21,6 +21,12 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     const BenchParams p = BenchParams::fromArgs(args);
+    // Optional machine-readable dumps for plotting pipelines.
+    const bool writeCsv = args.has("csv");
+    const std::string csvPath = args.getString("csv", "fig09.csv");
+    const bool writeJson = args.has("json");
+    const std::string jsonPath = args.getString("json", "fig09.json");
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Figure 9: overall performance ===", hw, p);
 
@@ -61,13 +67,12 @@ main(int argc, char **argv)
              [workloads[tasks[i].wi].name] = rep.timeMs;
     }
 
-    // Optional machine-readable dumps for plotting pipelines.
-    if (args.has("csv")) {
-        std::ofstream out(args.getString("csv", "fig09.csv"));
+    if (writeCsv) {
+        std::ofstream out(csvPath);
         out << core::toCsv(reports);
     }
-    if (args.has("json")) {
-        std::ofstream out(args.getString("json", "fig09.json"));
+    if (writeJson) {
+        std::ofstream out(jsonPath);
         out << core::toJson(reports);
     }
 

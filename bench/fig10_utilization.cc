@@ -19,6 +19,7 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     const BenchParams p = BenchParams::fromArgs(args);
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Figure 10: PE and memory-bandwidth utilization ===",
                 hw, p);

@@ -18,6 +18,7 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     const BenchParams p = BenchParams::fromArgs(args);
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Figure 11: energy breakdown ===", hw, p);
 

@@ -21,6 +21,7 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     const BenchParams p = BenchParams::fromArgs(args);
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Figure 12: real-time scheduling overhead ===", hw,
                 p);

@@ -18,6 +18,7 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     BenchParams p = BenchParams::fromArgs(args);
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Figure 13: speedup over M-tile vs batch size ===",
                 hw, p);

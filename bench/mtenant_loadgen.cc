@@ -84,6 +84,9 @@ main(int argc, char **argv)
     const double alpha = args.getDouble("alpha", 0.5);
     const bool elastic = args.getInt("elastic", 1) != 0;
     const double rateScale = args.getDouble("rate-scale", 1.0);
+    const std::string jsonPath =
+        args.getString("json", "BENCH_mtenant.json");
+    args.rejectUnread();
     p.batchSize = maxBatch;
     const arch::HwConfig hw;
     printBanner("=== Multi-tenant serving: isolation-aware tile "
@@ -369,8 +372,6 @@ main(int argc, char **argv)
     }
 
     // ---- BENCH_mtenant.json ----------------------------------------
-    const std::string jsonPath =
-        args.getString("json", "BENCH_mtenant.json");
     {
         std::ofstream out(jsonPath);
         out << "{\n  \"bench\": \"mtenant_loadgen\",\n  "

@@ -332,6 +332,9 @@ main(int argc, char **argv)
         static_cast<int>(args.getInt("reconfig-rounds", 5));
     const int deltaRounds =
         static_cast<int>(args.getInt("delta-rounds", 60));
+    const std::string jsonPath =
+        args.getString("json", "BENCH_sweep.json");
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Harness self-check: sweep wall-clock, "
                 "reconfiguration latency and equivalence ===",
@@ -429,8 +432,6 @@ main(int argc, char **argv)
                 del.identical ? "identical" : "DIVERGED");
 
     // ---- BENCH_sweep.json ------------------------------------------
-    const std::string jsonPath =
-        args.getString("json", "BENCH_sweep.json");
     const bool warmFaster = warmSum < coldSum;
     {
         std::ofstream out(jsonPath);

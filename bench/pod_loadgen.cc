@@ -82,6 +82,9 @@ main(int argc, char **argv)
     }
     const double slowFactor = args.getDouble("slow-factor", 5.0);
     const double corruptProb = args.getDouble("corrupt-prob", 0.05);
+    const std::string jsonPath =
+        args.getString("json", "BENCH_pod.json");
+    args.rejectUnread();
     p.batchSize = maxBatch;
     const arch::HwConfig hw;
     printBanner("=== Multi-chip pod serving: request routing and "
@@ -491,8 +494,6 @@ main(int argc, char **argv)
                 integrityPass ? "pass" : "FAIL");
 
     // ---- BENCH_pod.json --------------------------------------------
-    const std::string jsonPath =
-        args.getString("json", "BENCH_pod.json");
     {
         std::ofstream out(jsonPath);
         out << "{\n  \"bench\": \"pod_loadgen\",\n  "

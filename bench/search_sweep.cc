@@ -8,11 +8,12 @@
  * (the search never ships a worse schedule: it falls back to the
  * heuristic when nothing better materializes).
  *
- * Each search runs serially on the calling thread and depends only
- * on its configuration, so `BENCH_search.json` (which has no
- * wall-clock or thread-count field) is byte-identical across runs;
- * CI diffs two runs to check that. Wall-clock timings go to stderr
- * only.
+ * The five searches run as independent sweep cells (--jobs), each
+ * with a private mapper and store cache, and each depends only on its
+ * configuration, so `BENCH_search.json` (which has no wall-clock or
+ * thread-count field) is byte-identical across runs and --jobs
+ * values; CI diffs a serial and a parallel run to check that.
+ * Wall-clock timings go to stderr only.
  */
 
 #include <chrono>
@@ -72,6 +73,9 @@ main(int argc, char **argv)
     scfg.materializeTop =
         static_cast<int>(args.getInt("materialize-top", 6));
     scfg.seed = p.seed;
+    const std::string jsonPath =
+        args.getString("json", "BENCH_search.json");
+    args.rejectUnread();
 
     const arch::HwConfig hw;
     printBanner("=== Schedule search: anytime SA/beam over "
@@ -149,22 +153,24 @@ main(int argc, char **argv)
         return cell;
     };
 
-    std::vector<Cell> cells;
-    int improvedCount = 0;
-    for (const Workload &w : workloads) {
-        const double t0 = nowMs();
-        Cell cell = searchWorkload(w);
-        std::fprintf(stderr, "[adyna] %s: search %.0f ms\n",
-                     w.name.c_str(), nowMs() - t0);
+    Sweep sweep(p, hw);
+    const std::vector<Cell> cells =
+        sweep.map(workloads.size(), [&](std::size_t i) {
+            const double t0 = nowMs();
+            Cell cell = searchWorkload(workloads[i]);
+            std::fprintf(stderr, "[adyna] %s: search %.0f ms\n",
+                         workloads[i].name.c_str(), nowMs() - t0);
+            return cell;
+        });
 
+    int improvedCount = 0;
+    for (const Cell &cell : cells) {
         if (cell.searchedCost > cell.heuristicCost)
-            ADYNA_FATAL("search regressed on ", w.name,
+            ADYNA_FATAL("search regressed on ", cell.workload,
                         ": searched ", cell.searchedCost,
                         " > heuristic ", cell.heuristicCost,
                         " — the fallback must make this impossible");
-
         improvedCount += cell.improved ? 1 : 0;
-        cells.push_back(std::move(cell));
     }
 
     TextTable table("Searched vs heuristic (probe makespan, cycles)");
@@ -193,8 +199,6 @@ main(int argc, char **argv)
     // ---- BENCH_search.json -----------------------------------------
     // Deliberately no jobs/wall-clock fields: the file must be
     // byte-identical across runs.
-    const std::string jsonPath =
-        args.getString("json", "BENCH_search.json");
     {
         std::ostringstream os;
         os << "{\n  \"bench\": \"search_sweep\",\n  "

@@ -75,6 +75,11 @@ main(int argc, char **argv)
     const double driftStrength = args.getDouble("drift-strength", 0.9);
     const int driftPeriod =
         static_cast<int>(args.getInt("drift-period", 700));
+    const int driftWindow =
+        static_cast<int>(args.getInt("drift-window", 200));
+    const std::string jsonPath =
+        args.getString("json", "BENCH_serve.json");
+    args.rejectUnread();
     p.batchSize = maxBatch;
     const arch::HwConfig hw;
     printBanner("=== Online serving: arrivals, batching, SLO and "
@@ -144,8 +149,7 @@ main(int argc, char **argv)
         sc.batching.maxWaitCycles = static_cast<Cycles>(
             c.batchIntervalMs * 1e-3 * hw.tech.freqGhz * 1e9);
         sc.slo.deadlineMs = deadlineIntervals * c.batchIntervalMs;
-        sc.drift.windowRequests =
-            static_cast<int>(args.getInt("drift-window", 200));
+        sc.drift.windowRequests = driftWindow;
         sc.driftReschedule = s.adaptive;
         sc.numRequests = requests;
         sc.seed = p.seed;
@@ -219,8 +223,6 @@ main(int argc, char **argv)
     }
 
     // ---- BENCH_serve.json ------------------------------------------
-    const std::string jsonPath =
-        args.getString("json", "BENCH_serve.json");
     {
         std::ofstream out(jsonPath);
         out << "{\n  \"bench\": \"serve_loadgen\",\n  "

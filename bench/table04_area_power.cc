@@ -17,6 +17,7 @@ main(int argc, char **argv)
 {
     const CliArgs args(argc, argv);
     const BenchParams p = BenchParams::fromArgs(args);
+    args.rejectUnread();
     const arch::HwConfig hw;
     printBanner("=== Table IV: area and power of an Adyna tile ===",
                 hw, p);

@@ -29,6 +29,8 @@ main(int argc, char **argv)
     const CliArgs args(argc, argv);
     const auto batches = static_cast<int>(args.getInt("batches", 80));
     const std::int64_t batch = args.getInt("batch", 64);
+    const std::string dotPath = args.getString("dot", "");
+    args.rejectUnread();
     constexpr std::int64_t kPatches = 16;
     constexpr std::int64_t kHidden = 256;
     const std::int64_t rows = batch * kPatches;
@@ -76,7 +78,6 @@ main(int argc, char **argv)
     const graph::DynGraph dg = graph::parseModel(g);
     std::printf("%s\n", dg.summary().c_str());
 
-    const std::string dotPath = args.getString("dot", "");
     if (!dotPath.empty()) {
         std::ofstream out(dotPath);
         out << graph::toDot(dg);

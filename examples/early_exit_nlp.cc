@@ -30,6 +30,7 @@ main(int argc, char **argv)
     const auto batches = static_cast<int>(args.getInt("batches", 120));
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 5));
+    args.rejectUnread();
     const arch::HwConfig hw;
 
     std::printf("PABEE early-exit serving: scaling every gate's exit "

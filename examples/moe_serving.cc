@@ -27,6 +27,7 @@ main(int argc, char **argv)
     const auto batches = static_cast<int>(args.getInt("batches", 360));
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 11));
+    args.rejectUnread();
 
     models::ModelBundle bundle = models::buildTutelMoe(128);
     const graph::DynGraph dg = graph::parseModel(bundle.graph);

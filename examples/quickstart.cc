@@ -74,6 +74,7 @@ main(int argc, char **argv)
     const auto batch = args.getInt("batch", 64);
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
+    args.rejectUnread();
 
     // 1. Build the user-level model and parse it (Section IV).
     graph::Graph model = buildModel(batch);

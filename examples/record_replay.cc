@@ -30,6 +30,7 @@ main(int argc, char **argv)
     const auto batches = static_cast<int>(args.getInt("batches", 80));
     const std::string path =
         args.getString("trace", "/tmp/adyna_demo_trace.txt");
+    args.rejectUnread();
 
     models::ModelBundle bundle = models::buildSkipNet(64);
     const graph::DynGraph dg = graph::parseModel(bundle.graph);

@@ -31,59 +31,77 @@ CliArgs::CliArgs(int argc, const char *const *argv)
     }
 }
 
+const std::string *
+CliArgs::find(const std::string &name) const
+{
+    read_.insert(name);
+    const auto it = flags_.find(name);
+    return it == flags_.end() ? nullptr : &it->second;
+}
+
 bool
 CliArgs::has(const std::string &name) const
 {
-    return flags_.count(name) > 0;
+    return find(name) != nullptr;
 }
 
 std::string
 CliArgs::getString(const std::string &name, const std::string &dflt) const
 {
-    const auto it = flags_.find(name);
-    return it == flags_.end() ? dflt : it->second;
+    const std::string *v = find(name);
+    return v ? *v : dflt;
 }
 
 std::int64_t
 CliArgs::getInt(const std::string &name, std::int64_t dflt) const
 {
-    const auto it = flags_.find(name);
-    if (it == flags_.end())
+    const std::string *v = find(name);
+    if (!v)
         return dflt;
     char *end = nullptr;
-    const std::int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        ADYNA_FATAL("flag --", name, " expects an integer, got '",
-                    it->second, "'");
+    const std::int64_t value = std::strtoll(v->c_str(), &end, 10);
+    if (end == v->c_str() || *end != '\0')
+        ADYNA_FATAL("flag --", name, " expects an integer, got '", *v,
+                    "'");
     return value;
 }
 
 double
 CliArgs::getDouble(const std::string &name, double dflt) const
 {
-    const auto it = flags_.find(name);
-    if (it == flags_.end())
+    const std::string *v = find(name);
+    if (!v)
         return dflt;
     char *end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        ADYNA_FATAL("flag --", name, " expects a number, got '",
-                    it->second, "'");
+    const double value = std::strtod(v->c_str(), &end);
+    if (end == v->c_str() || *end != '\0')
+        ADYNA_FATAL("flag --", name, " expects a number, got '", *v,
+                    "'");
     return value;
 }
 
 bool
 CliArgs::getBool(const std::string &name, bool dflt) const
 {
-    const auto it = flags_.find(name);
-    if (it == flags_.end())
+    const std::string *v = find(name);
+    if (!v)
         return dflt;
-    const std::string &v = it->second;
-    if (v.empty() || v == "true" || v == "1" || v == "yes")
+    if (v->empty() || *v == "true" || *v == "1" || *v == "yes")
         return true;
-    if (v == "false" || v == "0" || v == "no")
+    if (*v == "false" || *v == "0" || *v == "no")
         return false;
-    ADYNA_FATAL("flag --", name, " expects a boolean, got '", v, "'");
+    ADYNA_FATAL("flag --", name, " expects a boolean, got '", *v, "'");
+}
+
+void
+CliArgs::rejectUnread() const
+{
+    std::string unread;
+    for (const auto &[name, value] : flags_)
+        if (!read_.count(name))
+            unread += (unread.empty() ? "--" : ", --") + name;
+    if (!unread.empty())
+        ADYNA_FATAL(program_, ": unknown flag(s) ", unread);
 }
 
 } // namespace adyna

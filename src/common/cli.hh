@@ -2,7 +2,9 @@
  * @file
  * Minimal command-line flag parser shared by the bench binaries and
  * the example applications. Supports "--name value", "--name=value",
- * and boolean "--name" forms.
+ * and boolean "--name" forms. Programs read every flag they accept up
+ * front, then call rejectUnread(), so a misspelt or retired flag is a
+ * clean fatal instead of being silently ignored.
  */
 
 #ifndef ADYNA_COMMON_CLI_HH
@@ -10,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,6 +44,13 @@ class CliArgs
     /** Boolean flag: present without value, or true/false/1/0. */
     bool getBool(const std::string &name, bool dflt) const;
 
+    /**
+     * Fatal (exit 1) naming every flag on the command line that no
+     * has() or getter has asked for. Call once, after the program has
+     * read all the flags it accepts and before it does any work.
+     */
+    void rejectUnread() const;
+
     /** Positional (non-flag) arguments in order. */
     const std::vector<std::string> &positional() const
     {
@@ -52,8 +62,14 @@ class CliArgs
 
   private:
     std::string program_;
+    /** The value of --name, or nullptr; records that it was read. */
+    const std::string *find(const std::string &name) const;
+
     std::map<std::string, std::string> flags_;
     std::vector<std::string> positional_;
+    /** Flag names asked for so far (present or not). The getters
+     * record into it, so they must not run concurrently. */
+    mutable std::set<std::string> read_;
 };
 
 } // namespace adyna

@@ -163,20 +163,6 @@ Rng::categorical(const std::vector<double> &weights)
     return weights.size() - 1;
 }
 
-std::vector<std::size_t>
-Rng::weightedSampleWithoutReplacement(std::vector<double> weights,
-                                      std::size_t k)
-{
-    std::vector<std::size_t> chosen;
-    chosen.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t idx = categorical(weights);
-        chosen.push_back(idx);
-        weights[idx] = 0.0;
-    }
-    return chosen;
-}
-
 std::uint32_t
 Rng::binomial(std::uint32_t n, double p)
 {

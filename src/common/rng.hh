@@ -67,15 +67,6 @@ class Rng
     std::size_t categorical(const std::vector<double> &weights);
 
     /**
-     * Draw @p k distinct indices from an unnormalized weight vector,
-     * without replacement. k must not exceed the number of positive
-     * weights.
-     */
-    std::vector<std::size_t>
-    weightedSampleWithoutReplacement(std::vector<double> weights,
-                                     std::size_t k);
-
-    /**
      * Binomial draw: number of successes in n Bernoulli(p) trials.
      * Exact (n draws) for small n, normal approximation for large n.
      */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/logging.hh"
 
@@ -67,6 +66,28 @@ totalDynLoad(const graph::DynGraph &dg, const BatchRouting &routing)
     return total;
 }
 
+double
+topKDrawTotals(const std::vector<double> &weights,
+               std::vector<double> &total_without)
+{
+    // Adding +0.0 leaves a sum unchanged, so the sum with 0.0 at z
+    // equals categorical's re-sum of the zeroed weights bit for bit.
+    const std::size_t n = weights.size();
+    double total = 0.0;
+    for (double w : weights) {
+        ADYNA_ASSERT(w >= 0.0, "negative categorical weight ", w);
+        total += w;
+    }
+    total_without.resize(n);
+    for (std::size_t z = 0; z < n; ++z) {
+        double sum = 0.0;
+        for (std::size_t i = 0; i < n; ++i)
+            sum += i == z ? 0.0 : weights[i];
+        total_without[z] = sum;
+    }
+    return total;
+}
+
 TraceGenerator::TraceGenerator(const graph::DynGraph &dg, TraceConfig cfg,
                                std::uint64_t seed)
     : dg_(dg), cfg_(cfg), rng_(seed), seed_(seed)
@@ -106,41 +127,23 @@ TraceGenerator::next()
     maybeAdvancePhase();
     ++batches_;
 
-    std::vector<Sample> samples(
-        static_cast<std::size_t>(cfg_.batchSize));
-    for (Sample &s : samples)
+    samples_.assign(static_cast<std::size_t>(cfg_.batchSize), Sample{});
+    for (Sample &s : samples_)
         s.difficulty = drawDifficulty();
 
     BatchRouting out;
     for (const SwitchInfo &sw : dg_.switches())
-        routeSwitch(sw, samples, out);
+        routeSwitch(sw, out.outcomes[sw.switchOp]);
     return out;
 }
 
-namespace {
-
-/** Indices of currently active samples. */
-std::vector<std::size_t>
-activeIndices(const std::vector<TraceGenerator::Sample> &samples)
-{
-    std::vector<std::size_t> idx;
-    for (std::size_t i = 0; i < samples.size(); ++i)
-        if (samples[i].active)
-            idx.push_back(i);
-    return idx;
-}
-
-} // namespace
-
 void
-TraceGenerator::routeSwitch(const SwitchInfo &sw,
-                            std::vector<Sample> &samples,
-                            BatchRouting &out)
+TraceGenerator::routeSwitch(const SwitchInfo &sw, SwitchOutcome &oc)
 {
     const graph::OpNode &node = dg_.graph().node(sw.switchOp);
     const RoutingPolicy &policy = node.policy;
+    using Kind = RoutingPolicy::Kind;
 
-    SwitchOutcome oc;
     oc.branchCounts.assign(
         static_cast<std::size_t>(policy.numBranches), 0);
 
@@ -150,55 +153,77 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
     // Rows one sample contributes at this gate (its patch-select
     // multiplicity times the gate's token fold).
     const auto effRows = [&](std::size_t i) {
-        return samples[i].rows * units;
+        return samples_[i].rows * units;
     };
 
-    std::vector<std::size_t> active = activeIndices(samples);
-    for (std::size_t i : active)
-        oc.activeBefore += effRows(i);
-
-    // Sort the active samples easiest-first with per-gate jitter, so
-    // rank-based decisions correlate across gates through the shared
-    // latent difficulty while retaining batch-to-batch variety.
-    std::vector<std::pair<double, std::size_t>> ranked;
-    ranked.reserve(active.size());
-    for (std::size_t i : active) {
-        const double jitter = rng_.normal(0.0, cfg_.gateNoise);
-        ranked.emplace_back(samples[i].difficulty + jitter, i);
+    active_.clear();
+    for (std::size_t i = 0; i < samples_.size(); ++i) {
+        if (samples_[i].active) {
+            active_.push_back(i);
+            oc.activeBefore += effRows(i);
+        }
     }
-    std::sort(ranked.begin(), ranked.end());
+
+    // Rank the active samples easiest-first with per-gate jitter, so
+    // rank-based decisions correlate across gates through the shared
+    // latent difficulty while retaining batch-to-batch variety. Every
+    // policy draws one jitter per active sample, in index order, since
+    // the draws advance the stream; only ChannelBlocks and PatchSelect
+    // read the rank order (they draw per sample in that order), so
+    // only they sort. EarlyExit and LayerSkip take the easiest
+    // `target` samples as a set, and TopKExperts reads no rank at all.
+    ranked_.clear();
+    if (policy.kind == Kind::TopKExperts) {
+        for (std::size_t n = active_.size(); n > 0; --n)
+            rng_.normal(0.0, cfg_.gateNoise);
+    } else {
+        for (std::size_t i : active_) {
+            const double jitter = rng_.normal(0.0, cfg_.gateNoise);
+            ranked_.emplace_back(samples_[i].difficulty + jitter, i);
+        }
+        if (policy.kind == Kind::ChannelBlocks ||
+            policy.kind == Kind::PatchSelect)
+            std::sort(ranked_.begin(), ranked_.end());
+    }
+    // The easiest `target` samples, in no particular order. Pairs
+    // compare as a strict total order (the indices are distinct), so
+    // nth_element puts the same set in front as a full sort would.
+    const auto easiest = [&](std::int64_t target) {
+        const auto mid = ranked_.begin() + target;
+        std::nth_element(ranked_.begin(), mid, ranked_.end());
+        return mid;
+    };
 
     switch (policy.kind) {
-      case RoutingPolicy::Kind::EarlyExit: {
+      case Kind::EarlyExit: {
         // param = marginal exit fraction of the *original* batch.
         const double f = phaseFraction(policy.param);
         std::int64_t target = rng_.binomial(
             static_cast<std::uint32_t>(cfg_.batchSize), f);
         target = std::min<std::int64_t>(
-            target, static_cast<std::int64_t>(ranked.size()));
-        for (std::int64_t i = 0; i < target; ++i) {
-            const std::size_t idx =
-                ranked[static_cast<std::size_t>(i)].second;
-            oc.branchCounts[0] += effRows(idx); // exit via the sink
-            samples[idx].active = false;
+            target, static_cast<std::int64_t>(ranked_.size()));
+        for (auto it = ranked_.begin(), mid = easiest(target); it != mid;
+             ++it) {
+            oc.branchCounts[0] += effRows(it->second); // exit via sink
+            samples_[it->second].active = false;
         }
         oc.branchCounts[1] = oc.activeBefore - oc.branchCounts[0];
         oc.activeAfter = oc.branchCounts[1];
         break;
       }
-      case RoutingPolicy::Kind::LayerSkip: {
+      case Kind::LayerSkip: {
         // param = skip fraction of the samples reaching this gate.
         const double f = phaseFraction(policy.param);
-        std::int64_t target = rng_.binomial(
-            static_cast<std::uint32_t>(ranked.size()), f);
-        for (std::int64_t i = 0; i < target; ++i)
-            oc.branchCounts[0] += // easiest samples skip
-                effRows(ranked[static_cast<std::size_t>(i)].second);
+        const std::int64_t target = rng_.binomial(
+            static_cast<std::uint32_t>(ranked_.size()), f);
+        for (auto it = ranked_.begin(), mid = easiest(target); it != mid;
+             ++it)
+            oc.branchCounts[0] += effRows(it->second); // easiest skip
         oc.branchCounts[1] = oc.activeBefore - oc.branchCounts[0];
         oc.activeAfter = oc.activeBefore; // merge restores the batch
         break;
       }
-      case RoutingPolicy::Kind::TopKExperts: {
+      case Kind::TopKExperts: {
         if (phaseExpertTilt_.size() !=
             static_cast<std::size_t>(policy.numBranches)) {
             // (Re)draw per-phase expert popularity tilts.
@@ -207,12 +232,12 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
             for (double &t : phaseExpertTilt_)
                 t = std::exp(cfg_.driftStrength * rng_.normal());
         }
-        std::vector<double> weights(
-            static_cast<std::size_t>(policy.numBranches), 1.0);
-        for (std::size_t e = 0; e < weights.size(); ++e) {
+        weights_.assign(static_cast<std::size_t>(policy.numBranches),
+                        1.0);
+        for (std::size_t e = 0; e < weights_.size(); ++e) {
             if (e < policy.branchBias.size())
-                weights[e] = policy.branchBias[e];
-            weights[e] *= phaseExpertTilt_[e];
+                weights_[e] = policy.branchBias[e];
+            weights_[e] *= phaseExpertTilt_[e];
         }
         // Units (tokens) route independently, each to topK
         // *distinct* experts. Small populations are sampled exactly
@@ -221,27 +246,20 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
         // restores the no-expert-exceeds-the-population invariant.
         const std::int64_t totalUnits = oc.activeBefore;
         if (totalUnits <= 2048) {
-            for (std::int64_t u = 0; u < totalUnits; ++u) {
-                const auto experts =
-                    rng_.weightedSampleWithoutReplacement(
-                        weights,
-                        static_cast<std::size_t>(policy.topK));
-                for (std::size_t e : experts)
-                    ++oc.branchCounts[e];
-            }
+            drawTopKPerUnit(totalUnits, policy.topK, oc);
         } else {
             for (int choice = 0; choice < policy.topK; ++choice) {
                 double wsum = 0.0;
-                for (double w : weights)
+                for (double w : weights_)
                     wsum += w;
                 std::int64_t remaining = totalUnits;
-                for (std::size_t e = 0; e < weights.size(); ++e) {
+                for (std::size_t e = 0; e < weights_.size(); ++e) {
                     if (remaining <= 0)
                         break;
                     const double p =
-                        wsum > 0.0 ? weights[e] / wsum : 0.0;
+                        wsum > 0.0 ? weights_[e] / wsum : 0.0;
                     std::int64_t c;
-                    if (e + 1 == weights.size()) {
+                    if (e + 1 == weights_.size()) {
                         c = remaining;
                     } else {
                         c = rng_.binomial(
@@ -250,7 +268,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
                     }
                     oc.branchCounts[e] += c;
                     remaining -= c;
-                    wsum -= weights[e];
+                    wsum -= weights_[e];
                 }
             }
             // No expert can serve more units than exist: move the
@@ -275,7 +293,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
         oc.activeAfter = oc.activeBefore;
         break;
       }
-      case RoutingPolicy::Kind::ChannelBlocks: {
+      case Kind::ChannelBlocks: {
         const int blocks = policy.numBranches;
         // FBS keeps the top-k most salient channels, and the
         // saliency ranking is largely consistent across samples: a
@@ -286,7 +304,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
         // branches that motivate branch grouping (Section V-B).
         const double keep = phaseFraction(policy.param);
         const double swapProb = cfg_.channelSwapProb;
-        for (const auto &[difficulty, idx] : ranked) {
+        for (const auto &[difficulty, idx] : ranked_) {
             // Harder samples keep more channel blocks.
             const double frac = std::clamp(
                 keep + (difficulty - 0.5) * 0.5 +
@@ -311,7 +329,7 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
         oc.activeAfter = oc.activeBefore;
         break;
       }
-      case RoutingPolicy::Kind::PatchSelect: {
+      case Kind::PatchSelect: {
         // Units here are folded rows: `fold` patches per sample.
         // Kept rows continue on branch 0, dropped rows sink on
         // branch 1. Downstream gates see the per-sample kept counts
@@ -323,8 +341,8 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
                             std::max<std::int64_t>(cfg_.batchSize, 1);
         ADYNA_ASSERT(fold >= 1, "patch-select switch on unfolded batch");
         const double keep = phaseFraction(policy.param);
-        for (const auto &[difficulty, idx] : ranked) {
-            ADYNA_ASSERT(samples[idx].rows == 1,
+        for (const auto &[difficulty, idx] : ranked_) {
+            ADYNA_ASSERT(samples_[idx].rows == 1,
                          "nested patch selection is not supported");
             // Harder images need more patches.
             const double frac = std::clamp(
@@ -333,19 +351,61 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw,
                 0.0, 1.0);
             std::int64_t k = std::llround(frac * fold);
             k = std::clamp<std::int64_t>(k, 1, fold);
-            samples[idx].rows = k;
+            samples_[idx].rows = k;
             oc.branchCounts[0] += k;
         }
         const std::int64_t totalRows =
-            static_cast<std::int64_t>(ranked.size()) * fold;
+            static_cast<std::int64_t>(ranked_.size()) * fold;
         oc.branchCounts[1] = totalRows - oc.branchCounts[0];
         oc.activeBefore = totalRows;
         oc.activeAfter = oc.branchCounts[0];
         break;
       }
     }
+}
 
-    out.outcomes[sw.switchOp] = std::move(oc);
+void
+TraceGenerator::drawTopKPerUnit(std::int64_t units, int topK,
+                                SwitchOutcome &oc)
+{
+    // Each draw is exactly Rng::categorical over the unit's weights
+    // (its chosen experts zeroed), with the totals that categorical
+    // would re-sum hoisted out of the unit loop (topKDrawTotals): the
+    // weights are fixed within a switch. Each draw keeps
+    // categorical's uniform() * total and its `draw -= w[i]` walk,
+    // fall-through to the last index included. A prefix-sum CDF (or
+    // an alias table) would compare the uniform against differently
+    // rounded partial sums and so pick another expert near the
+    // boundaries.
+    const std::size_t n = weights_.size();
+    const double total = topKDrawTotals(weights_, totalWithout_);
+    unitWeights_ = weights_;
+
+    const auto draw = [&](double sum) {
+        ADYNA_ASSERT(sum > 0.0, "categorical weights sum to zero");
+        double x = rng_.uniform() * sum;
+        for (std::size_t i = 0; i < n; ++i) {
+            x -= unitWeights_[i];
+            if (x < 0.0)
+                return i;
+        }
+        return n - 1;
+    };
+    for (std::int64_t u = 0; u < units; ++u) {
+        chosen_.clear();
+        for (int k = 0; k < topK; ++k) {
+            // Draws past the second re-sum, as categorical does.
+            const std::size_t e =
+                k == 0   ? draw(total)
+                : k == 1 ? draw(totalWithout_[chosen_[0]])
+                         : rng_.categorical(unitWeights_);
+            chosen_.push_back(e);
+            unitWeights_[e] = 0.0;
+            ++oc.branchCounts[e];
+        }
+        for (std::size_t e : chosen_)
+            unitWeights_[e] = weights_[e];
+    }
 }
 
 std::map<OpId, double>

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -74,6 +75,16 @@ BatchRouting mergeRoutings(const std::vector<const BatchRouting *> &parts);
  */
 std::int64_t totalDynLoad(const graph::DynGraph &dg,
                           const BatchRouting &routing);
+
+/**
+ * The totals Rng::categorical sums for the first two top-k draws of
+ * a unit: returns the index-order sum of @p weights (all must be
+ * non-negative) and sets @p total_without[z] to the index-order sum
+ * with 0.0 at z (the second draw's total once expert z is chosen),
+ * both bit for bit as categorical re-sums them.
+ */
+double topKDrawTotals(const std::vector<double> &weights,
+                      std::vector<double> &total_without);
 
 /** Parameters of the synthetic dynamism model. */
 struct TraceConfig
@@ -156,8 +167,12 @@ class TraceGenerator
     /** Gate marginal under the current drift phase. */
     double phaseFraction(double base) const;
 
-    void routeSwitch(const graph::SwitchInfo &sw,
-                     std::vector<Sample> &samples, BatchRouting &out);
+    void routeSwitch(const graph::SwitchInfo &sw, SwitchOutcome &oc);
+
+    /** Route @p units units (tokens) each to topK distinct experts
+     * by exact per-unit categorical draws over weights_. */
+    void drawTopKPerUnit(std::int64_t units, int topK,
+                         SwitchOutcome &oc);
 
     const graph::DynGraph &dg_;
     TraceConfig cfg_;
@@ -168,6 +183,23 @@ class TraceGenerator
     // Drift phase state.
     double phaseScale_ = 1.0;
     std::vector<double> phaseExpertTilt_;
+
+    // Per-batch scratch, reused so a warm next() allocates only the
+    // BatchRouting it returns.
+    std::vector<Sample> samples_;
+    /** Indices of the samples active at the current switch. */
+    std::vector<std::size_t> active_;
+    /** (difficulty + gate jitter, sample index) per active sample. */
+    std::vector<std::pair<double, std::size_t>> ranked_;
+    /** Expert weights of the current top-k switch. */
+    std::vector<double> weights_;
+    /** weights_ with the unit's chosen experts zeroed. */
+    std::vector<double> unitWeights_;
+    /** Second-draw total per first-draw expert z: the index-order sum
+     * of weights_ with 0.0 at z. */
+    std::vector<double> totalWithout_;
+    /** Experts chosen for the current unit. */
+    std::vector<std::size_t> chosen_;
 };
 
 } // namespace adyna::trace

@@ -1,8 +1,9 @@
 /**
  * @file
- * Zero-allocation guard for the serve hot path: a steady-state
+ * Zero-allocation guards for the serve hot path: a steady-state
  * Engine::runPeriod (warm plan cache + exec memo, out-param result)
- * must not touch the heap.
+ * must not touch the heap, and a warm TraceGenerator::next() may
+ * allocate only the BatchRouting it returns.
  *
  * The guard counts calls to the replaceable global operator new. The
  * test skips under sanitizer builds (ADYNA_SANITIZE): sanitizer
@@ -20,13 +21,18 @@
 #include "core/engine.hh"
 #include "core/scheduler.hh"
 #include "graph/parser.hh"
+#include "models/models.hh"
 #include "trace/trace.hh"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 } // namespace
 
-void *
+// All replacements are kept out of line: once g++ 12 inlines one of
+// them into a caller, it sees std::free paired with a pointer from
+// operator new (or std::malloc paired with operator delete) and warns
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -35,7 +41,7 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n)
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -44,9 +50,6 @@ operator new[](std::size_t n)
     throw std::bad_alloc();
 }
 
-// Kept out of line: once a sanitizer build inlines one of these into
-// a caller, g++ sees std::free paired with a pointer from operator new
-// and warns -Wmismatched-new-delete.
 [[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
@@ -138,6 +141,42 @@ TEST(AllocGuard, SteadyStateRunPeriodAllocatesNothing)
         << "steady-state runPeriod performed " << (after - before)
         << " heap allocations";
     EXPECT_EQ(out.batchEnds.size(), batches.size());
+}
+
+TEST(AllocGuard, SteadyStateTraceNextAllocatesOnlyTheResult)
+{
+#ifdef ADYNA_SANITIZE
+    GTEST_SKIP() << "allocation counting is unreliable under "
+                    "sanitizer runtimes";
+#endif
+    // PABEE exits early, SkipNet skips layers, Tutel-MoE at batch 1
+    // takes the per-unit top-k path, FBSNet prunes channel blocks and
+    // AdaViT selects patches.
+    const std::pair<const char *, std::int64_t> cases[] = {
+        {"pabee", 16},  {"skipnet", 16}, {"tutel-moe", 1},
+        {"fbsnet", 16}, {"adavit", 16}};
+    for (const auto &[name, batch] : cases) {
+        const models::ModelBundle bundle =
+            models::buildByName(name, batch);
+        const DynGraph dg = parseModel(bundle.graph);
+        trace::TraceGenerator gen(dg, bundle.traceConfig, 3);
+        for (int i = 0; i < 3; ++i)
+            (void)gen.next();
+
+        const std::uint64_t before =
+            g_allocs.load(std::memory_order_relaxed);
+        const trace::BatchRouting routing = gen.next();
+        const std::uint64_t mid =
+            g_allocs.load(std::memory_order_relaxed);
+        const trace::BatchRouting copy(routing);
+        const std::uint64_t after =
+            g_allocs.load(std::memory_order_relaxed);
+        EXPECT_EQ(mid - before, after - mid)
+            << name << ": warm next() performed " << (mid - before)
+            << " heap allocations; copying its result takes "
+            << (after - mid);
+        EXPECT_EQ(copy.outcomes.size(), routing.outcomes.size());
+    }
 }
 
 } // namespace

@@ -335,6 +335,27 @@ TEST(CliArgs, BooleanExplicitValues)
     EXPECT_FALSE(args.getBool("c", true));
 }
 
+TEST(CliArgs, RejectUnreadPassesWhenEveryFlagWasRead)
+{
+    const char *argv[] = {"prog", "--batches", "2", "--csv", "--jobs=1"};
+    CliArgs args(5, argv);
+    EXPECT_EQ(args.getInt("batches", 0), 2);
+    EXPECT_TRUE(args.has("csv"));
+    EXPECT_EQ(args.getInt("jobs", 4), 1);
+    EXPECT_EQ(args.getInt("seed", 7), 7); // absent flags may be read
+    args.rejectUnread();
+}
+
+TEST(CliArgs, RejectUnreadNamesEveryUnreadFlag)
+{
+    const char *argv[] = {"prog", "--batches", "2", "--shared-mapper=0",
+                          "--bogus-flag", "7"};
+    CliArgs args(6, argv);
+    EXPECT_EQ(args.getInt("batches", 0), 2);
+    EXPECT_EXIT(args.rejectUnread(), ::testing::ExitedWithCode(1),
+                "unknown flag\\(s\\) --bogus-flag, --shared-mapper");
+}
+
 // ---------------------------------------------------------- percentile
 
 TEST(Percentile, InterpolatesBetweenOrderStatistics)

@@ -2,7 +2,8 @@
  * @file
  * Unit and property tests for the dynamism trace generator:
  * determinism, conservation laws per routing policy, marginal
- * calibration, difficulty correlation across gates, and drift.
+ * calibration, difficulty correlation across gates, and drift; and
+ * exact agreement with the reference generator in trace_oracle.hh.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +12,10 @@
 
 #include "graph/parser.hh"
 #include "graph/transforms.hh"
+#include "models/models.hh"
+#include "models/random.hh"
 #include "trace/trace.hh"
+#include "trace_oracle.hh"
 
 namespace {
 
@@ -72,6 +76,118 @@ stationary(std::int64_t batch)
     cfg.batchSize = batch;
     cfg.driftStrength = 0.0;
     return cfg;
+}
+
+/** TraceGenerator and the oracle, both built from (@p dg, @p cfg,
+ * @p seed), return equal routings, field by field, for @p batches
+ * batches. A generator whose RNG stream position slips from the
+ * oracle's shows up in the next batch's difficulty draws. */
+void
+expectMatchesOracle(const DynGraph &dg, const TraceConfig &cfg,
+                    std::uint64_t seed, int batches,
+                    const std::string &what)
+{
+    TraceGenerator gen(dg, cfg, seed);
+    oracle::TraceOracle ref(dg, cfg, seed);
+    for (int b = 0; b < batches; ++b) {
+        const BatchRouting got = gen.next();
+        const BatchRouting want = ref.next();
+        ASSERT_EQ(got.outcomes.size(), want.outcomes.size())
+            << what << " batch " << b;
+        for (const auto &[sw, oc] : want.outcomes) {
+            const auto it = got.outcomes.find(sw);
+            ASSERT_NE(it, got.outcomes.end())
+                << what << " batch " << b << " switch " << sw;
+            EXPECT_EQ(it->second.branchCounts, oc.branchCounts)
+                << what << " batch " << b << " switch " << sw;
+            EXPECT_EQ(it->second.activeBefore, oc.activeBefore)
+                << what << " batch " << b << " switch " << sw;
+            EXPECT_EQ(it->second.activeAfter, oc.activeAfter)
+                << what << " batch " << b << " switch " << sw;
+        }
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+// Paper models (Tutel-MoE at batch 1 takes the per-unit top-k path,
+// at batch 128 the binomial chain), seeded random graphs (top-1 and
+// top-2 MoE over 2..8 experts, patch select, channel blocks), and a
+// top-3 MoE; several seeds, with and without drift (a short period
+// so phases, and with them the expert tilts, change mid-run).
+TEST(Trace, MatchesOracle)
+{
+    // N = 12 batches, plus one that exposes a slip in batch N.
+    constexpr int kBatches = 13;
+    const std::uint64_t seeds[] = {1, 7919, 0x9e3779b97f4a7c15ULL};
+    struct Case
+    {
+        std::string name;
+        DynGraph dg;
+        TraceConfig cfg;
+    };
+    std::vector<Case> cases;
+    for (std::int64_t batch : {1, 128}) {
+        const std::string at = "@" + std::to_string(batch);
+        std::vector<std::string> names = models::workloadNames();
+        names.push_back("adavit");
+        for (const std::string &name : names) {
+            const models::ModelBundle b = models::buildByName(name, batch);
+            cases.push_back({name + at, parseModel(b.graph), b.traceConfig});
+        }
+        for (std::uint64_t s = 1; s <= 6; ++s) {
+            models::RandomModelParams rp;
+            rp.batch = batch;
+            rp.dynamismProb = 0.9;
+            rp.maxExperts = 2 + static_cast<int>(s % 7);
+            const models::ModelBundle b = models::buildRandomDynNN(rp, s);
+            cases.push_back({"random" + std::to_string(s) + at,
+                             parseModel(b.graph), b.traceConfig});
+        }
+        cases.push_back({"top3" + at,
+                         moeModel(batch, 6, 3, {1, 2, 0.5, 3, 1, 1}),
+                         stationary(batch)});
+    }
+    for (const Case &c : cases) {
+        for (bool drift : {false, true}) {
+            TraceConfig cfg = c.cfg;
+            cfg.driftStrength = drift ? 0.3 : 0.0;
+            cfg.driftPeriod = 4;
+            for (std::uint64_t seed : seeds) {
+                expectMatchesOracle(c.dg, cfg, seed, kBatches,
+                                    c.name + (drift ? " drift" : "") +
+                                        " seed " + std::to_string(seed));
+                if (HasFailure())
+                    return;
+            }
+        }
+    }
+}
+
+// The per-switch totals equal categorical's re-sums bit for bit, on
+// weights spread over many orders of magnitude, where any other
+// summation order rounds differently.
+TEST(Trace, TopKDrawTotalsMatchCategoricalResum)
+{
+    Rng rng(5);
+    std::vector<double> weights;
+    std::vector<double> totalWithout;
+    for (int trial = 0; trial < 200; ++trial) {
+        weights.resize(static_cast<std::size_t>(rng.uniformInt(2, 64)));
+        for (double &w : weights)
+            w = rng.bernoulli(0.1) ? 0.0 : std::exp(rng.uniform(-30, 30));
+        const double total = topKDrawTotals(weights, totalWithout);
+        EXPECT_EQ(total, oracle::categoricalTotal(weights));
+        ASSERT_EQ(totalWithout.size(), weights.size());
+        for (std::size_t z = 0; z < weights.size(); ++z) {
+            std::vector<double> zeroed = weights;
+            zeroed[z] = 0.0;
+            EXPECT_EQ(totalWithout[z], oracle::categoricalTotal(zeroed))
+                << "trial " << trial << " z " << z;
+        }
+        if (HasFailure())
+            return;
+    }
 }
 
 TEST(Trace, DeterministicForSameSeed)
