@@ -1,6 +1,7 @@
 #include "costmodel/mapper.hh"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <vector>
 
@@ -67,12 +68,42 @@ LoopDims
 chooseSpadBlock(const graph::OpNode &op, const LoopDims &per_tile,
                 int weight_split, Bytes budget)
 {
+    // Block bytes never decrease as an extent grows, so the footprint
+    // never increases along a dim's halving sequence and "fits" turns
+    // true at most once along it. Bisecting for the first fitting
+    // step (or the last, extent 1) stops where halving one step at a
+    // time would.
     LoopDims block = per_tile;
+    const auto fits = [&] {
+        return spadFootprint(op, block, weight_split) <= budget;
+    };
+    if (fits())
+        return block;
     const Dim shrinkOrder[3] = {Dim::N, Dim::P, Dim::K};
+    std::array<std::int64_t, 64> halved;
     for (Dim d : shrinkOrder) {
-        while (spadFootprint(op, block, weight_split) > budget &&
-               block[d] > 1)
-            block[d] = ceilDiv(block[d], 2);
+        // The extents after each halving step, down to 1.
+        std::size_t steps = 0;
+        for (std::int64_t e = block[d]; e > 1; e = ceilDiv(e, 2))
+            halved[steps++] = ceilDiv(e, 2);
+        if (steps == 0)
+            continue;
+        std::size_t lo = 0;
+        std::size_t hi = steps - 1;
+        bool fitsAtHi = false;
+        while (lo < hi) {
+            const std::size_t mid = lo + (hi - lo) / 2;
+            block[d] = halved[mid];
+            if (fits()) {
+                hi = mid;
+                fitsAtHi = true;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        block[d] = halved[lo];
+        if (fitsAtHi || fits())
+            return block;
     }
     return block;
 }

@@ -49,7 +49,9 @@ std::vector<std::vector<SpatialSplit>> splitCandidates(int tiles);
  * Largest scratchpad blocking of @p per_tile that fits @p budget
  * (spadFootprint() with weights split @p weight_split ways): start
  * from the full per-tile extents and halve N, then P, then K until
- * the footprint fits or the dims reach 1.
+ * the footprint fits or the dims reach 1. Each dim's stopping point
+ * is found by bisection over its halving sequence, along which the
+ * footprint never increases.
  */
 graph::LoopDims chooseSpadBlock(const graph::OpNode &op,
                                 const graph::LoopDims &per_tile,

@@ -1,7 +1,9 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -88,9 +90,46 @@ topKDrawTotals(const std::vector<double> &weights,
     return total;
 }
 
+void
+walkThresholds(std::span<const double> weights,
+               std::span<double> thresholds)
+{
+    // x_{i+1} = fl(x_i - w_i) is non-decreasing in x_i (rounding is
+    // monotone) and never above x_i (w_i >= 0), so the walk from x
+    // passes step i iff its value after step i is >= 0, and the set
+    // of such x is [T_i, inf). Non-negative doubles order like their
+    // bit patterns, so bisect over those; +inf passes every step.
+    // Each step's set lies inside the previous one's, so
+    // T_i >= T_{i-1} and each search starts at the last threshold.
+    ADYNA_ASSERT(thresholds.size() == weights.size(),
+                 "threshold table size ", thresholds.size(),
+                 " for ", weights.size(), " weights");
+    const auto passes = [&](std::size_t step, double x) {
+        for (std::size_t i = 0; i <= step; ++i)
+            x -= weights[i];
+        return x >= 0.0;
+    };
+    std::uint64_t lo = 0;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        ADYNA_ASSERT(weights[i] >= 0.0, "negative categorical weight ",
+                     weights[i]);
+        std::uint64_t hi = std::bit_cast<std::uint64_t>(
+            std::numeric_limits<double>::infinity());
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (passes(i, std::bit_cast<double>(mid)))
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        thresholds[i] = std::bit_cast<double>(lo);
+    }
+}
+
 TraceGenerator::TraceGenerator(const graph::DynGraph &dg, TraceConfig cfg,
                                std::uint64_t seed)
-    : dg_(dg), cfg_(cfg), rng_(seed), seed_(seed)
+    : dg_(dg), cfg_(cfg), rng_(seed), seed_(seed),
+      topKTables_(dg.switches().size())
 {
     ADYNA_ASSERT(cfg_.batchSize > 0, "batch size must be positive");
 }
@@ -112,7 +151,8 @@ TraceGenerator::maybeAdvancePhase()
     // New phase: rescale gate marginals and redraw expert popularity.
     phaseScale_ =
         1.0 + cfg_.driftStrength * rng_.uniform(-0.5, 0.5);
-    phaseExpertTilt_.clear();
+    for (std::vector<double> &tilt : expertTilts_)
+        tilt.clear();
 }
 
 double
@@ -132,13 +172,15 @@ TraceGenerator::next()
         s.difficulty = drawDifficulty();
 
     BatchRouting out;
-    for (const SwitchInfo &sw : dg_.switches())
-        routeSwitch(sw, out.outcomes[sw.switchOp]);
+    const std::vector<SwitchInfo> &switches = dg_.switches();
+    for (std::size_t s = 0; s < switches.size(); ++s)
+        routeSwitch(switches[s], s, out.outcomes[switches[s].switchOp]);
     return out;
 }
 
 void
-TraceGenerator::routeSwitch(const SwitchInfo &sw, SwitchOutcome &oc)
+TraceGenerator::routeSwitch(const SwitchInfo &sw, std::size_t index,
+                            SwitchOutcome &oc)
 {
     const graph::OpNode &node = dg_.graph().node(sw.switchOp);
     const RoutingPolicy &policy = node.policy;
@@ -224,20 +266,22 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, SwitchOutcome &oc)
         break;
       }
       case Kind::TopKExperts: {
-        if (phaseExpertTilt_.size() !=
-            static_cast<std::size_t>(policy.numBranches)) {
-            // (Re)draw per-phase expert popularity tilts.
-            phaseExpertTilt_.resize(
-                static_cast<std::size_t>(policy.numBranches));
-            for (double &t : phaseExpertTilt_)
+        const auto experts =
+            static_cast<std::size_t>(policy.numBranches);
+        if (expertTilts_.size() <= experts)
+            expertTilts_.resize(experts + 1);
+        std::vector<double> &tilt = expertTilts_[experts];
+        if (tilt.empty()) {
+            // Draw this phase's expert popularity tilt.
+            tilt.resize(experts);
+            for (double &t : tilt)
                 t = std::exp(cfg_.driftStrength * rng_.normal());
         }
-        weights_.assign(static_cast<std::size_t>(policy.numBranches),
-                        1.0);
-        for (std::size_t e = 0; e < weights_.size(); ++e) {
+        weights_.assign(experts, 1.0);
+        for (std::size_t e = 0; e < experts; ++e) {
             if (e < policy.branchBias.size())
                 weights_[e] = policy.branchBias[e];
-            weights_[e] *= phaseExpertTilt_[e];
+            weights_[e] *= tilt[e];
         }
         // Units (tokens) route independently, each to topK
         // *distinct* experts. Small populations are sampled exactly
@@ -246,7 +290,8 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, SwitchOutcome &oc)
         // restores the no-expert-exceeds-the-population invariant.
         const std::int64_t totalUnits = oc.activeBefore;
         if (totalUnits <= 2048) {
-            drawTopKPerUnit(totalUnits, policy.topK, oc);
+            drawTopKPerUnit(totalUnits, policy.topK,
+                            topKTables_[index], oc);
         } else {
             for (int choice = 0; choice < policy.topK; ++choice) {
                 double wsum = 0.0;
@@ -365,40 +410,58 @@ TraceGenerator::routeSwitch(const SwitchInfo &sw, SwitchOutcome &oc)
 }
 
 void
+TraceGenerator::refreshTopKTable(TopKTable &table)
+{
+    if (table.weights == weights_)
+        return;
+    const std::size_t n = weights_.size();
+    table.weights = weights_;
+    table.total = topKDrawTotals(weights_, table.totalWithout);
+    table.thresholds.resize(n * (n + 1));
+    const std::span<double> rows(table.thresholds);
+    walkThresholds(weights_, rows.first(n));
+    unitWeights_ = weights_;
+    for (std::size_t z = 0; z < n; ++z) {
+        unitWeights_[z] = 0.0;
+        walkThresholds(unitWeights_, rows.subspan((z + 1) * n, n));
+        unitWeights_[z] = weights_[z];
+    }
+    ++topKTableBuilds_;
+}
+
+void
 TraceGenerator::drawTopKPerUnit(std::int64_t units, int topK,
-                                SwitchOutcome &oc)
+                                TopKTable &table, SwitchOutcome &oc)
 {
     // Each draw is exactly Rng::categorical over the unit's weights
-    // (its chosen experts zeroed), with the totals that categorical
-    // would re-sum hoisted out of the unit loop (topKDrawTotals): the
-    // weights are fixed within a switch. Each draw keeps
-    // categorical's uniform() * total and its `draw -= w[i]` walk,
-    // fall-through to the last index included. A prefix-sum CDF (or
-    // an alias table) would compare the uniform against differently
+    // (its chosen experts zeroed): the same uniform() * total, with
+    // the totals categorical would re-sum hoisted out of the unit
+    // loop (topKDrawTotals), and the expert its `draw -= w[i]` walk
+    // would return, read off the walk's own thresholds
+    // (walkThresholds, walkIndex). The weights are fixed within a
+    // switch and change only with the drift phase, so the table is
+    // rebuilt once per (switch, phase). A prefix-sum CDF (or an
+    // alias table) would compare the uniform against differently
     // rounded partial sums and so pick another expert near the
     // boundaries.
+    refreshTopKTable(table);
     const std::size_t n = weights_.size();
-    const double total = topKDrawTotals(weights_, totalWithout_);
+    const std::span<const double> rows(table.thresholds);
     unitWeights_ = weights_;
 
-    const auto draw = [&](double sum) {
+    const auto draw = [&](std::size_t row, double sum) {
         ADYNA_ASSERT(sum > 0.0, "categorical weights sum to zero");
-        double x = rng_.uniform() * sum;
-        for (std::size_t i = 0; i < n; ++i) {
-            x -= unitWeights_[i];
-            if (x < 0.0)
-                return i;
-        }
-        return n - 1;
+        return walkIndex(rows.subspan(row * n, n), rng_.uniform() * sum);
     };
     for (std::int64_t u = 0; u < units; ++u) {
         chosen_.clear();
         for (int k = 0; k < topK; ++k) {
             // Draws past the second re-sum, as categorical does.
             const std::size_t e =
-                k == 0   ? draw(total)
-                : k == 1 ? draw(totalWithout_[chosen_[0]])
-                         : rng_.categorical(unitWeights_);
+                k == 0 ? draw(0, table.total)
+                : k == 1
+                    ? draw(1 + chosen_[0], table.totalWithout[chosen_[0]])
+                    : rng_.categorical(unitWeights_);
             chosen_.push_back(e);
             unitWeights_[e] = 0.0;
             ++oc.branchCounts[e];

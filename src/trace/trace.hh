@@ -16,8 +16,10 @@
 #ifndef ADYNA_TRACE_TRACE_HH
 #define ADYNA_TRACE_TRACE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -86,6 +88,33 @@ std::int64_t totalDynLoad(const graph::DynGraph &dg,
 double topKDrawTotals(const std::vector<double> &weights,
                       std::vector<double> &total_without);
 
+/**
+ * Thresholds of Rng::categorical's `draw -= w[i]` walk over
+ * @p weights (all non-negative): sets @p thresholds[i] to the
+ * smallest non-negative double whose walk is still >= 0 after step i,
+ * or +inf if no finite one is. Rounded subtraction is monotone, so
+ * the walk from any draw x >= 0 passes step i exactly when
+ * x >= thresholds[i], and it returns walkIndex(thresholds, x).
+ * @p thresholds must have the size of @p weights.
+ */
+void walkThresholds(std::span<const double> weights,
+                    std::span<double> thresholds);
+
+/**
+ * The index categorical's walk returns from draw @p x >= 0: the
+ * number of steps it passes (a branch-free count over the
+ * walkThresholds() table), capped at the last index, where the walk
+ * falls through.
+ */
+inline std::size_t
+walkIndex(std::span<const double> thresholds, double x)
+{
+    std::size_t passed = 0;
+    for (double t : thresholds)
+        passed += x >= t ? 1 : 0;
+    return std::min(passed, thresholds.size() - 1);
+}
+
 /** Parameters of the synthetic dynamism model. */
 struct TraceConfig
 {
@@ -137,6 +166,10 @@ class TraceGenerator
     /** Number of batches generated so far. */
     std::uint64_t batchesGenerated() const { return batches_; }
 
+    /** Top-k draw tables built so far: one per (switch, weight
+     * vector), so once per switch and drift phase. */
+    std::uint64_t topKTableBuilds() const { return topKTableBuilds_; }
+
     const TraceConfig &config() const { return cfg_; }
 
     /**
@@ -167,11 +200,32 @@ class TraceGenerator
     /** Gate marginal under the current drift phase. */
     double phaseFraction(double base) const;
 
-    void routeSwitch(const graph::SwitchInfo &sw, SwitchOutcome &oc);
+    /** Draw tables of one top-k switch (see drawTopKPerUnit). */
+    struct TopKTable
+    {
+        /** The weights the table was built from: its cache key. */
+        std::vector<double> weights;
+        /** First-draw total (topKDrawTotals). */
+        double total = 0.0;
+        /** Second-draw total per first-draw expert z. */
+        std::vector<double> totalWithout;
+        /** n x (n + 1) walk thresholds: row 0 for the first draw,
+         * row 1 + z for the second draw with 0.0 at expert z. */
+        std::vector<double> thresholds;
+    };
+
+    /** Route switch @p sw, the @p index-th of dg_.switches(). */
+    void routeSwitch(const graph::SwitchInfo &sw, std::size_t index,
+                     SwitchOutcome &oc);
+
+    /** Make @p table describe weights_, rebuilding it if it was built
+     * from other weights. */
+    void refreshTopKTable(TopKTable &table);
 
     /** Route @p units units (tokens) each to topK distinct experts
-     * by exact per-unit categorical draws over weights_. */
-    void drawTopKPerUnit(std::int64_t units, int topK,
+     * by exact per-unit categorical draws over weights_, through
+     * @p table. */
+    void drawTopKPerUnit(std::int64_t units, int topK, TopKTable &table,
                          SwitchOutcome &oc);
 
     const graph::DynGraph &dg_;
@@ -182,7 +236,16 @@ class TraceGenerator
 
     // Drift phase state.
     double phaseScale_ = 1.0;
-    std::vector<double> phaseExpertTilt_;
+    /** Expert popularity tilt per expert count, drawn the first time
+     * a switch with that count routes in a phase (empty until then;
+     * cleared, keeping capacity, when a phase begins). Switches with
+     * the same count share one tilt. */
+    std::vector<std::vector<double>> expertTilts_;
+
+    /** Top-k draw tables, one per switch (indexed like
+     * dg_.switches()); rebuilt when the switch's weights change. */
+    std::vector<TopKTable> topKTables_;
+    std::uint64_t topKTableBuilds_ = 0;
 
     // Per-batch scratch, reused so a warm next() allocates only the
     // BatchRouting it returns.
@@ -195,9 +258,6 @@ class TraceGenerator
     std::vector<double> weights_;
     /** weights_ with the unit's chosen experts zeroed. */
     std::vector<double> unitWeights_;
-    /** Second-draw total per first-draw expert z: the index-order sum
-     * of weights_ with 0.0 at z. */
-    std::vector<double> totalWithout_;
     /** Experts chosen for the current unit. */
     std::vector<std::size_t> chosen_;
 };

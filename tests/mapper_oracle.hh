@@ -4,9 +4,10 @@
  * search: every candidate split with every loop order, each priced by
  * a full evalKernel(), keeping the first candidate that is strictly
  * better on (feasible, cycles, DRAM spill, SRAM bytes). It shares the
- * candidate set (splitCandidates) and the scratchpad blocking
- * (chooseSpadBlock) with the production search, but none of its
- * pruning: no split is skipped and no cost is reused.
+ * candidate set (splitCandidates) with the production search, but
+ * none of its pruning: no split is skipped, no cost is reused, and
+ * the scratchpad blocking halves one step at a time
+ * (linearSpadBlock) where chooseSpadBlock bisects.
  */
 
 #ifndef ADYNA_TESTS_MAPPER_ORACLE_HH
@@ -22,6 +23,39 @@
 #include "graph/op.hh"
 
 namespace adyna::oracle {
+
+/**
+ * costmodel::chooseSpadBlock by step-by-step halving: halve N, then
+ * P, then K, re-pricing the footprint after every step, until it fits
+ * @p budget or the dims reach 1. Asserts what the bisection relies
+ * on: along each dim's whole halving sequence, from where its halving
+ * starts down to extent 1, the footprint never increases.
+ */
+inline graph::LoopDims
+linearSpadBlock(const graph::OpNode &op, const graph::LoopDims &per_tile,
+                int weight_split, Bytes budget)
+{
+    using graph::Dim;
+    const auto footprint = [&](const graph::LoopDims &block) {
+        return costmodel::spadFootprint(op, block, weight_split);
+    };
+    graph::LoopDims block = per_tile;
+    const Dim shrinkOrder[3] = {Dim::N, Dim::P, Dim::K};
+    for (Dim d : shrinkOrder) {
+        graph::LoopDims probe = block;
+        while (probe[d] > 1) {
+            const Bytes prev = footprint(probe);
+            probe[d] = (probe[d] + 1) / 2;
+            ADYNA_ASSERT(footprint(probe) <= prev,
+                         "spad footprint grows as dim ",
+                         static_cast<int>(d), " halves to ", probe[d],
+                         " in ", block.str());
+        }
+        while (footprint(block) > budget && block[d] > 1)
+            block[d] = (block[d] + 1) / 2;
+    }
+    return block;
+}
 
 /** The best mapping of @p op at batch extent @p n on @p tiles tiles,
  * by exhaustive split x loop-order scan. */
@@ -55,7 +89,7 @@ exhaustiveMapping(const graph::OpNode &op, std::int64_t n, int tiles,
             m.order = static_cast<LoopOrder>(o);
 
             LoopDims perTile = m.perTileDims();
-            m.spadBlock = chooseSpadBlock(
+            m.spadBlock = linearSpadBlock(
                 op, perTile, m.splitFactor(Dim::K), budget);
 
             const KernelCost cost =

@@ -179,4 +179,36 @@ TEST(AllocGuard, SteadyStateTraceNextAllocatesOnlyTheResult)
     }
 }
 
+TEST(AllocGuard, TraceNextAcrossPhaseChangeAllocatesOnlyTheResult)
+{
+#ifdef ADYNA_SANITIZE
+    GTEST_SKIP() << "allocation counting is unreliable under "
+                    "sanitizer runtimes";
+#endif
+    // A new drift phase redraws the expert tilt, so Tutel-MoE's
+    // per-unit top-k tables are rebuilt inside the measured next():
+    // tilts and tables reuse the capacity of the phases before.
+    const models::ModelBundle bundle = models::buildByName("tutel-moe", 1);
+    const DynGraph dg = parseModel(bundle.graph);
+    trace::TraceConfig tc = bundle.traceConfig;
+    tc.driftStrength = 0.3;
+    tc.driftPeriod = 4;
+    trace::TraceGenerator gen(dg, tc, 3);
+    for (int i = 0; i < 2 * tc.driftPeriod; ++i)
+        (void)gen.next();
+    const std::uint64_t builds = gen.topKTableBuilds();
+
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    const trace::BatchRouting routing = gen.next();
+    const std::uint64_t mid = g_allocs.load(std::memory_order_relaxed);
+    const trace::BatchRouting copy(routing);
+    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+    EXPECT_GT(gen.topKTableBuilds(), builds)
+        << "the measured batch did not start a new phase";
+    EXPECT_EQ(mid - before, after - mid)
+        << "next() at a phase change performed " << (mid - before)
+        << " heap allocations; copying its result takes "
+        << (after - mid);
+}
+
 } // namespace

@@ -360,12 +360,14 @@ oracleTileCounts()
     return out;
 }
 
-TEST(Mapper, SearchMatchesExhaustiveOracle)
+/** The oracle's ops: every distinct schedulable op of the five model
+ * graphs (ops that differ only in N search identically: n replaces
+ * it), then seeded random ops: strided convs, matmuls, vector ops,
+ * and weights too large to fit the scratchpad at any split. */
+std::vector<OpNode>
+oracleOps()
 {
-    const std::vector<int> tileCounts = oracleTileCounts();
-
-    // Every distinct schedulable op of the five model graphs (ops
-    // that differ only in N search identically: n replaces it).
+    std::vector<OpNode> ops;
     std::set<std::tuple<bool, std::array<std::int64_t, kNumDims>, int,
                         int>>
         seen;
@@ -382,13 +384,11 @@ TEST(Mapper, SearchMatchesExhaustiveOracle)
                               op.dtypeBytes)
                      .second)
                 continue;
-            expectSearchMatchesOracle(op, kOracleValues, tileCounts);
+            ops.push_back(op);
         }
     }
     EXPECT_GT(seen.size(), 20u);
 
-    // Seeded random ops: strided convs, matmuls, vector ops, and
-    // weights too large to fit the scratchpad at any split.
     const Bytes budget = static_cast<Bytes>(
         static_cast<double>(tech().spadBytes) *
         (1.0 - tech().kernelSpadFraction));
@@ -438,8 +438,49 @@ TEST(Mapper, SearchMatchesExhaustiveOracle)
             EXPECT_GT(op.weightBytes() / 36, budget) << op.dims.str();
             break;
         }
-        expectSearchMatchesOracle(op, kOracleValues, tileCounts);
+        ops.push_back(std::move(op));
     }
+    return ops;
+}
+
+TEST(Mapper, SearchMatchesExhaustiveOracle)
+{
+    for (const OpNode &op : oracleOps())
+        expectSearchMatchesOracle(op, kOracleValues, oracleTileCounts());
+}
+
+// The bisected blocking equals step-by-step halving (which asserts
+// that the footprint never increases along each halving sequence)
+// for every split candidate of every oracle search input.
+TEST(Mapper, BisectedSpadBlockMatchesLinearHalving)
+{
+    const Bytes budget = static_cast<Bytes>(
+        static_cast<double>(tech().spadBytes) *
+        (1.0 - tech().kernelSpadFraction));
+    std::size_t inputs = 0;
+    for (const OpNode &op : oracleOps()) {
+        for (std::int64_t n : kOracleValues) {
+            for (int tiles : oracleTileCounts()) {
+                ++inputs;
+                for (auto &splits : splitCandidates(tiles)) {
+                    Mapping m;
+                    m.compiledDims = op.dims.with(Dim::N, n);
+                    m.tiles = tiles;
+                    m.splits = std::move(splits);
+                    const LoopDims perTile = m.perTileDims();
+                    const int wsplit = m.splitFactor(Dim::K);
+                    EXPECT_EQ(chooseSpadBlock(op, perTile, wsplit, budget),
+                              oracle::linearSpadBlock(op, perTile, wsplit,
+                                                      budget))
+                        << op.name << " " << op.dims.str() << " n " << n
+                        << " " << m.str();
+                }
+            }
+        }
+        if (HasFailure())
+            return;
+    }
+    EXPECT_EQ(inputs, 11232u);
 }
 
 TEST(Mapper, InfeasibleEverywherePicksFewestCyclesNotSmallestFootprint)

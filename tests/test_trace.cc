@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "graph/parser.hh"
 #include "graph/transforms.hh"
@@ -66,6 +67,25 @@ moeModel(std::int64_t batch, int experts, int topk,
                             return gg.addMatMul("ffn", s, 128, 128);
                         });
     g.addOutput("out", merge);
+    return parseModel(g);
+}
+
+/** Two MoE layers with different expert counts: 2 experts top-1,
+ * then 5 experts top-2. */
+DynGraph
+mixedMoeModel(std::int64_t batch)
+{
+    Graph g("mixed-moe");
+    OpId in = g.addInput("in", LoopDims::matmul(batch, 128, 128));
+    OpId t = g.addMatMul("proj", in, 128, 128);
+    OpId m2 = addMoE(g, "moe2", t, 2, 1, {}, [](Graph &gg, OpId s) {
+        return gg.addMatMul("ffn2", s, 128, 128);
+    });
+    OpId m5 = addMoE(g, "moe5", m2, 5, 2, {1, 2, 0.5, 3, 1},
+                     [](Graph &gg, OpId s) {
+                         return gg.addMatMul("ffn5", s, 128, 128);
+                     });
+    g.addOutput("out", m5);
     return parseModel(g);
 }
 
@@ -147,6 +167,8 @@ TEST(Trace, MatchesOracle)
         cases.push_back({"top3" + at,
                          moeModel(batch, 6, 3, {1, 2, 0.5, 3, 1, 1}),
                          stationary(batch)});
+        cases.push_back(
+            {"mixed-moe" + at, mixedMoeModel(batch), stationary(batch)});
     }
     for (const Case &c : cases) {
         for (bool drift : {false, true}) {
@@ -187,6 +209,101 @@ TEST(Trace, TopKDrawTotalsMatchCategoricalResum)
         }
         if (HasFailure())
             return;
+    }
+}
+
+// The walk thresholds reproduce categorical's `draw -= w[i]` walk
+// exactly, on weights with zeros, subnormals and values spread over
+// many orders of magnitude: each threshold passes its step, the next
+// double below it does not, and the count equals the walk on random
+// draws and one ulp either side of every threshold.
+TEST(Trace, TopKThresholdsMatchWalk)
+{
+    constexpr double kMinSub = std::numeric_limits<double>::denorm_min();
+    constexpr double kMinNorm = std::numeric_limits<double>::min();
+    std::vector<std::vector<double>> cases{
+        {1.0},
+        {0.0, 0.0, 1.0},
+        {1.0, 0.0, 0.0},
+        {kMinSub, 1.0, kMinSub, 1e300},
+        {1e-300, kMinNorm, 3 * kMinSub, 0.0, 1e-310},
+        {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8},
+        {1e308, 5e307},
+    };
+    Rng rng(11);
+    while (cases.size() < 200) {
+        std::vector<double> w(
+            static_cast<std::size_t>(rng.uniformInt(1, 16)));
+        for (double &x : w) {
+            const double kind = rng.uniform();
+            x = kind < 0.15   ? 0.0
+                : kind < 0.3 ? kMinSub * static_cast<double>(
+                                             rng.uniformInt(1, 1 << 20))
+                             : std::exp(rng.uniform(-700, 700));
+        }
+        cases.push_back(std::move(w));
+    }
+
+    std::vector<double> thresholds;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const std::vector<double> &w = cases[c];
+        const std::size_t n = w.size();
+        thresholds.assign(n, -1.0);
+        walkThresholds(w, thresholds);
+        const auto expectSameIndex = [&](double x) {
+            EXPECT_EQ(walkIndex(thresholds, x),
+                      oracle::categoricalWalk(w, x))
+                << "case " << c << " draw " << x;
+        };
+        for (std::size_t i = 0; i < n; ++i) {
+            const double t = thresholds[i];
+            ASSERT_GE(t, 0.0) << "case " << c << " step " << i;
+            if (i > 0) {
+                EXPECT_GE(t, thresholds[i - 1]) << "case " << c;
+            }
+            EXPECT_GE(oracle::walkValueAfter(w, i, t), 0.0)
+                << "case " << c << " step " << i << " threshold " << t;
+            if (t > 0.0) {
+                const double below = std::nextafter(t, 0.0);
+                EXPECT_LT(oracle::walkValueAfter(w, i, below), 0.0)
+                    << "case " << c << " step " << i << " below " << t;
+                expectSameIndex(below);
+            }
+            if (std::isfinite(t)) {
+                expectSameIndex(t);
+                expectSameIndex(std::nextafter(
+                    t, std::numeric_limits<double>::infinity()));
+            }
+        }
+        // Draws as categorical makes them: uniform() * total.
+        const double total = oracle::categoricalTotal(w);
+        for (int d = 0; d < 500; ++d)
+            expectSameIndex(rng.uniform() * total);
+        if (HasFailure())
+            return;
+    }
+}
+
+// Switches with the same expert count share one popularity tilt per
+// drift phase, and a switch's top-k tables are rebuilt only when its
+// weights change: once per switch and phase, even in a graph that
+// mixes expert counts.
+TEST(Trace, TopKTablesRebuildOncePerSwitchAndPhase)
+{
+    const DynGraph dg = mixedMoeModel(4);
+    ASSERT_EQ(dg.switches().size(), 2u);
+    constexpr int kPhases = 3;
+    for (bool drift : {false, true}) {
+        TraceConfig cfg = stationary(4);
+        cfg.driftStrength = drift ? 0.3 : 0.0;
+        cfg.driftPeriod = 5;
+        TraceGenerator gen(dg, cfg, 17);
+        for (int b = 0; b < kPhases * cfg.driftPeriod; ++b)
+            (void)gen.next();
+        // Without drift the one tilt is drawn once, so each switch
+        // builds its tables once.
+        EXPECT_EQ(gen.topKTableBuilds(), 2u * (drift ? kPhases : 1))
+            << (drift ? "drift" : "stationary");
     }
 }
 

@@ -4,10 +4,12 @@
  * shortcuts: every switch builds and fully sorts the (difficulty +
  * jitter, index) ranking, whatever its policy reads of it, and every
  * top-k unit draws its experts by Rng::categorical on a fresh copy of
- * the weights (re-summing the total on every draw). The production
- * generator must return the same BatchRouting for the same (graph,
- * config, seed), batch after batch, which also pins its position in
- * the RNG stream.
+ * the weights (re-summing the total on every draw and walking it
+ * with `draw -= w[i]`). Each drift phase draws one expert popularity
+ * tilt per expert count, shared by the switches with that count. The
+ * production generator must return the same BatchRouting for the
+ * same (graph, config, seed), batch after batch, which also pins its
+ * position in the RNG stream.
  */
 
 #ifndef ADYNA_TESTS_TRACE_ORACLE_HH
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -55,7 +58,8 @@ class TraceOracle
     Rng rng_;
     std::uint64_t batches_ = 0;
     double phaseScale_ = 1.0;
-    std::vector<double> phaseExpertTilt_;
+    /** This phase's expert popularity tilt per expert count. */
+    std::map<int, std::vector<double>> phaseExpertTilt_;
 };
 
 inline double
@@ -171,12 +175,14 @@ TraceOracle::routeSwitch(const SwitchInfo &sw,
         break;
       }
       case RoutingPolicy::Kind::TopKExperts: {
-        if (phaseExpertTilt_.size() !=
-            static_cast<std::size_t>(policy.numBranches)) {
-            // (Re)draw per-phase expert popularity tilts.
-            phaseExpertTilt_.resize(
-                static_cast<std::size_t>(policy.numBranches));
-            for (double &t : phaseExpertTilt_)
+        // The first switch with this expert count in the phase draws
+        // the count's tilt; later ones reuse it.
+        const auto [tiltIt, fresh] =
+            phaseExpertTilt_.try_emplace(policy.numBranches);
+        std::vector<double> &tilt = tiltIt->second;
+        if (fresh) {
+            tilt.resize(static_cast<std::size_t>(policy.numBranches));
+            for (double &t : tilt)
                 t = std::exp(cfg_.driftStrength * rng_.normal());
         }
         std::vector<double> weights(
@@ -184,7 +190,7 @@ TraceOracle::routeSwitch(const SwitchInfo &sw,
         for (std::size_t e = 0; e < weights.size(); ++e) {
             if (e < policy.branchBias.size())
                 weights[e] = policy.branchBias[e];
-            weights[e] *= phaseExpertTilt_[e];
+            weights[e] *= tilt[e];
         }
         // Units (tokens) route independently, each to topK
         // *distinct* experts. Small populations are sampled exactly
@@ -333,6 +339,30 @@ categoricalTotal(const std::vector<double> &weights)
     for (double w : weights)
         total += w;
     return total;
+}
+
+/** The index Rng::categorical's walk returns from draw @p x over
+ * @p weights. */
+inline std::size_t
+categoricalWalk(const std::vector<double> &weights, double x)
+{
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        x -= weights[i];
+        if (x < 0.0)
+            return i;
+    }
+    return weights.size() - 1;
+}
+
+/** The walk's value after step @p step (it exits at the first step
+ * that leaves it negative). */
+inline double
+walkValueAfter(const std::vector<double> &weights, std::size_t step,
+               double x)
+{
+    for (std::size_t i = 0; i <= step; ++i)
+        x -= weights[i];
+    return x;
 }
 
 } // namespace adyna::oracle
