@@ -309,18 +309,16 @@ main(int argc, char **argv)
                 (s.adaptive ? failA : failS) = &reports[i];
         }
         // Gate 1: with an empty plan the fail-over knob must be
-        // invisible — byte-identical reports. The shared mapper /
-        // store-cache counters are best-effort deltas that depend on
-        // how concurrent cells interleave, so they are zeroed before
-        // comparing (exactly why toJson keeps them out of the
-        // deterministic gate surface elsewhere).
-        const auto stripCaches = [](serve::ServeReport r) {
+        // invisible — byte-identical reports. The sweep-shared
+        // mapper's counters depend on how concurrent cells
+        // interleave, so they are zeroed before comparing; each run
+        // owns its store cache, so the store counters are compared.
+        const auto stripMapper = [](serve::ServeReport r) {
             r.mapperHits = r.mapperMisses = 0;
-            r.storeHits = r.storeMisses = 0;
             return r;
         };
-        const bool inert = serve::toJson(stripCaches(*noneA)) ==
-                           serve::toJson(stripCaches(*noneS));
+        const bool inert = serve::toJson(stripMapper(*noneA)) ==
+                           serve::toJson(stripMapper(*noneS));
         // Gate 2: under tile failure the adaptive response must beat
         // the static one on goodput.
         const bool wins = failA->goodputRps > failS->goodputRps;

@@ -323,8 +323,6 @@ main(int argc, char **argv)
     const bool matrixPass = cellWins >= 2;
 
     // ---- acceptance: 1-tenant == single-workload ServeRuntime ------
-    // Private store caches on both sides so the cache counters in the
-    // reports are byte-stable regardless of what ran before.
     bool identityPass = false;
     {
         const Workload &w = workloads[0];
@@ -340,13 +338,11 @@ main(int argc, char **argv)
         sc.numRequests = requests;
         sc.seed = p.seed;
 
-        kernels::KernelStoreCache cacheDirect;
         serve::ServeRuntime direct(
             w.dg, tc, hw,
             baselines::schedulerConfig(baselines::Design::Adyna),
             baselines::execPolicy(baselines::Design::Adyna), sc,
             w.name);
-        direct.setSharedStoreCache(&cacheDirect);
         const std::string directJson = serve::toJson(direct.run());
 
         mtenant::MTenantConfig mc;
@@ -354,13 +350,11 @@ main(int argc, char **argv)
         ts.id = "solo";
         ts.serve = sc;
         mc.tenants.push_back(std::move(ts));
-        kernels::KernelStoreCache cacheVia;
         mtenant::MTenantRuntime via(
             {{&w.dg, tc, w.name}}, hw,
             baselines::schedulerConfig(baselines::Design::Adyna),
             baselines::execPolicy(baselines::Design::Adyna),
             std::move(mc));
-        via.setSharedStoreCache(&cacheVia);
         const mtenant::MTenantReport mr = via.run();
         const std::string viaJson =
             serve::toJson(mr.tenants[0].serve);

@@ -66,8 +66,9 @@ struct SweepResult
 };
 
 /** Run the full workload x design matrix under one configuration.
- * Each sweep gets its own store cache so timings are independent of
- * sweep order (the process-global cache is never touched). */
+ * Every run of the sweep shares one store cache on purpose (System
+ * runs price no compiles, so outputs cannot move), and each sweep
+ * gets a fresh one so timings are independent of sweep order. */
 SweepResult
 runSweep(const std::vector<Workload> &workloads,
          const std::vector<Design> &designs, const BenchParams &p,

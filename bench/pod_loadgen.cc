@@ -137,21 +137,17 @@ main(int argc, char **argv)
         return sc;
     };
 
-    // Every pod run gets its own mapper and store cache (shared by
+    // Every pod run keeps its own mapper and store cache (shared by
     // that run's chips, not across runs): BENCH_pod.json promises
     // byte-stability for any --jobs, and sweep-wide caches would
     // leak warm-up order into the reported hit/miss counters.
     const auto makePod = [&](pod::PodConfig pc,
                              std::vector<pod::PodWorkload> wls) {
-        costmodel::Mapper mapper(hw.tech);
-        kernels::KernelStoreCache cache;
         pod::PodRuntime rt(
             std::move(wls), hw,
             baselines::schedulerConfig(baselines::Design::Adyna),
             baselines::execPolicy(baselines::Design::Adyna),
             std::move(pc));
-        rt.setSharedMapper(&mapper);
-        rt.setSharedStoreCache(&cache);
         return rt.run();
     };
 
@@ -267,31 +263,25 @@ main(int argc, char **argv)
                 failoverPass ? "pass" : "FAIL");
 
     // ---- cell 3: 1-chip pod == ServeRuntime (byte identity) --------
-    // Private store caches on both sides so cache counters are
-    // byte-stable regardless of what ran before.
     {
         const serve::ServeConfig sc = serveConfig(
             c0, rateFrac * c0.capacityRps, requestsPerChip);
 
-        kernels::KernelStoreCache cacheDirect;
         serve::ServeRuntime direct(
             w0.dg, tc0, hw,
             baselines::schedulerConfig(baselines::Design::Adyna),
             baselines::execPolicy(baselines::Design::Adyna), sc,
             w0.name);
-        direct.setSharedStoreCache(&cacheDirect);
         const std::string directJson = serve::toJson(direct.run());
 
         pod::PodConfig pc;
         pc.chips = 1;
         pc.serve = sc;
-        kernels::KernelStoreCache cacheVia;
         pod::PodRuntime via(
             {{&w0.dg, tc0, w0.name}}, hw,
             baselines::schedulerConfig(baselines::Design::Adyna),
             baselines::execPolicy(baselines::Design::Adyna),
             std::move(pc));
-        via.setSharedStoreCache(&cacheVia);
         const pod::PodReport pr = via.run();
         const std::string viaJson = serve::toJson(pr.chips[0].serve);
 

@@ -83,69 +83,6 @@ toJson(const std::vector<RunReport> &reports, bool include_batches)
 }
 
 std::string
-cacheStatsJson(const RunReport &r)
-{
-    std::ostringstream os;
-    os << "{\"mapper_hits\":" << r.mapperHits << ","
-       << "\"mapper_misses\":" << r.mapperMisses << ","
-       << "\"store_hits\":" << r.storeHits << ","
-       << "\"store_misses\":" << r.storeMisses << ","
-       << "\"exec_hits\":" << r.execHits << ","
-       << "\"exec_misses\":" << r.execMisses << "}";
-    return os.str();
-}
-
-std::string
-faultStatsJson(const RunReport &r)
-{
-    const fault::FaultStats &f = r.fault;
-    std::ostringstream os;
-    os << "{\"failovers\":" << r.failovers << ","
-       << "\"tile_fail_events\":" << f.tileFailEvents << ","
-       << "\"tile_recoveries\":" << f.tileRecoveries << ","
-       << "\"link_down_events\":" << f.linkDownEvents << ","
-       << "\"link_degrade_events\":" << f.linkDegradeEvents << ","
-       << "\"link_recoveries\":" << f.linkRecoveries << ","
-       << "\"probe_drop_windows\":" << f.probeDropWindows << ","
-       << "\"store_fit_windows\":" << f.storeFitWindows << ","
-       << "\"failed_tiles\":" << f.failedTiles << ","
-       << "\"down_links\":" << f.downLinks << ","
-       << "\"degraded_links\":" << f.degradedLinks << ","
-       << "\"probe_drops\":" << f.probeDrops << ","
-       << "\"probe_retries\":" << f.probeRetries << ","
-       << "\"probe_give_ups\":" << f.probeGiveUps << ","
-       << "\"detour_routes\":" << f.detourRoutes << ","
-       << "\"unroutable_paths\":" << f.unroutablePaths << "}";
-    return os.str();
-}
-
-std::string
-searchStatsJson(const RunReport &r)
-{
-    const SearchStats &s = r.search;
-    std::ostringstream os;
-    os << "{\"candidates_tried\":" << s.candidatesTried << ","
-       << "\"candidates_accepted\":" << s.candidatesAccepted << ","
-       << "\"materialized\":" << s.materialized << ","
-       << "\"segments_rebuilt\":" << s.segmentsRebuilt << ","
-       << "\"segments_spliced\":" << s.segmentsSpliced << ","
-       << "\"full_rebuilds\":" << s.fullRebuilds << ","
-       << "\"budget_spent_cycles\":" << s.budgetSpentCycles << ","
-       << "\"budget_exhausted\":" << s.budgetExhausted << ","
-       << "\"chains\":" << s.chains << ","
-       << "\"heuristic_cost\":" << s.heuristicCost << ","
-       << "\"searched_cost\":" << s.searchedCost << ","
-       << "\"improved\":" << (s.improved ? "true" : "false") << ","
-       << "\"store_hits\":" << s.storeHits << ","
-       << "\"store_misses\":" << s.storeMisses << ","
-       << "\"mapper_hits\":" << s.mapperHits << ","
-       << "\"mapper_misses\":" << s.mapperMisses << ","
-       << "\"exec_hits\":" << s.execHits << ","
-       << "\"exec_misses\":" << s.execMisses << "}";
-    return os.str();
-}
-
-std::string
 csvHeader()
 {
     return "workload,design,cycles,time_ms,batches_per_second,"

@@ -27,31 +27,6 @@ std::string toJson(const RunReport &report,
 std::string toJson(const std::vector<RunReport> &reports,
                    bool include_batches = false);
 
-/**
- * Serialize the run's cache counters (mapper memo, kernel-store
- * cache, exec-cost memo) as one JSON object. Kept out of toJson()
- * deliberately: the counters depend on cache state and job
- * interleaving, and the machine-readable reports must stay
- * byte-identical across cache settings (the equivalence gates).
- */
-std::string cacheStatsJson(const RunReport &report);
-
-/**
- * Serialize the run's fault-injection counters as one JSON object.
- * Kept out of toJson() for the same reason as the cache counters: a
- * fault-free run's machine-readable reports must stay byte-identical
- * to the pre-fault code (the empty-plan equivalence gate).
- */
-std::string faultStatsJson(const RunReport &report);
-
-/**
- * Serialize the run's schedule-search counters as one JSON object.
- * Kept out of toJson() for the same reason as the cache counters: a
- * search-off run's machine-readable reports must stay byte-identical
- * to the pre-search code.
- */
-std::string searchStatsJson(const RunReport &report);
-
 /** CSV header matching toCsvRow(). */
 std::string csvHeader();
 

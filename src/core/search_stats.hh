@@ -1,9 +1,6 @@
 /**
  * @file
- * Observability of one schedule-search run (src/search). Lives in
- * core so RunReport and the serving runtime can carry the counters
- * without depending on the search library (search depends on core,
- * never the reverse).
+ * Observability of one schedule-search run (src/search).
  */
 
 #ifndef ADYNA_CORE_SEARCH_STATS_HH
@@ -46,30 +43,8 @@ struct SearchStats
     /** Searches that hit their cycle budget and stopped early. */
     std::uint64_t budgetExhausted = 0;
 
-    /** Parallel chains the last run used. */
-    int chains = 0;
-
-    /** Probe makespan of the heuristic baseline vs the best searched
-     * schedule (ticks; last run). searchedCost == heuristicCost when
-     * the search fell back to the heuristic. */
-    double heuristicCost = 0.0;
-    double searchedCost = 0.0;
-
     /** The last run's best schedule beat the heuristic baseline. */
     bool improved = false;
-
-    /**
-     * Cache traffic attributed to candidate evaluation (store cache,
-     * mapper memo, probe-engine exec memo). Scoped here so run-level
-     * cacheStatsJson / serve cache counters reflect the installed
-     * schedule, not the rejected candidates.
-     */
-    std::uint64_t storeHits = 0;
-    std::uint64_t storeMisses = 0;
-    std::uint64_t mapperHits = 0;
-    std::uint64_t mapperMisses = 0;
-    std::uint64_t execHits = 0;
-    std::uint64_t execMisses = 0;
 };
 
 } // namespace adyna::core

@@ -61,9 +61,9 @@ System::run()
     const std::uint64_t hits0 = mapper.hits();
     const std::uint64_t misses0 = mapper.misses();
 
+    kernels::KernelStoreCache ownStores;
     kernels::KernelStoreCache &storeCache =
-        sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global();
+        sharedStoreCache_ ? *sharedStoreCache_ : ownStores;
     const std::uint64_t sHits0 = storeCache.hits();
     const std::uint64_t sMisses0 = storeCache.misses();
 

@@ -18,7 +18,6 @@
 #include "arch/profiler.hh"
 #include "core/engine.hh"
 #include "core/scheduler.hh"
-#include "core/search_stats.hh"
 #include "fault/fault.hh"
 #include "graph/dyngraph.hh"
 #include "trace/trace.hh"
@@ -75,19 +74,19 @@ struct RunReport
 
     /**
      * Mapper memo-cache lookups attributed to this run (hits +
-     * misses = searches). With a mapper shared across concurrent
-     * runs the split is a best-effort snapshot delta -- simultaneous
-     * runs may steal each other's hits -- but the numbers stay
-     * usable as an effectiveness signal. Deliberately excluded from
-     * the CSV/JSON exporters so machine-readable dumps stay
-     * byte-identical across --jobs settings.
+     * misses = searches), as the counters' movement over the run.
+     * Exact with the run's own mapper; with a mapper shared across
+     * concurrent runs, simultaneous runs may steal each other's hits,
+     * so the split depends on thread interleaving. Deliberately
+     * excluded from the CSV/JSON exporters so machine-readable dumps
+     * stay byte-identical across --jobs settings.
      */
     std::uint64_t mapperHits = 0;
     std::uint64_t mapperMisses = 0;
 
-    /** Kernel-store cache lookups attributed to this run (same
-     * best-effort snapshot-delta semantics and exporter exclusion as
-     * the mapper counters; zero when the cache is disabled). */
+    /** Kernel-store cache lookups attributed to this run (exact with
+     * the run-owned cache, interleaving-dependent with a shared one,
+     * like the mapper counters; excluded from the exporters). */
     std::uint64_t storeHits = 0;
     std::uint64_t storeMisses = 0;
 
@@ -99,21 +98,13 @@ struct RunReport
 
     /** Fault-injection counters (all zero without a fault plan).
      * Excluded from the CSV/JSON exporters like the cache counters so
-     * fault-free reports stay byte-identical to the pre-fault code;
-     * exported separately via faultStatsJson(). */
+     * fault-free reports stay byte-identical to the pre-fault code. */
     fault::FaultStats fault;
 
     /** Degraded re-schedules triggered by a healthy-tile change (a
      * subset of `reconfigurations`' spirit but counted separately;
      * also excluded from the exporters). */
     int failovers = 0;
-
-    /** Schedule-search counters (all zero unless a ScheduleSearch
-     * filled them in; src/search). Excluded from the CSV/JSON
-     * exporters like the cache and fault counters so search-off
-     * reports stay byte-identical; exported separately via
-     * searchStatsJson(). */
-    SearchStats search;
 
     /** Per-batch completion times. */
     std::vector<Tick> batchEnds;
@@ -154,11 +145,13 @@ class System
     void setSharedMapper(costmodel::Mapper *mapper);
 
     /**
-     * Use @p cache instead of the process-wide
-     * KernelStoreCache::global() for compiled kernel-store reuse.
-     * Must outlive the run; pass nullptr to restore the global
-     * cache. Results are unaffected; only wall-clock and the cache
-     * counters change.
+     * Use @p cache instead of a store cache the run owns, so
+     * compiled kernel stores are reused across runs. Must outlive
+     * the run; pass nullptr to restore the run-owned cache. System
+     * outputs are unaffected (nothing here prices compiles); only
+     * wall-clock and the store counters change. Sharing a cache
+     * between runs that do price compiles (the serving runtimes)
+     * makes their output depend on run order.
      */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 

@@ -216,6 +216,8 @@ struct FaultStats
     std::uint64_t probeGiveUps = 0;
     std::uint64_t detourRoutes = 0;
     std::uint64_t unroutablePaths = 0;
+
+    bool operator==(const FaultStats &) const = default;
 };
 
 /** Replays a FaultPlan against a chip on the simulated clock. */

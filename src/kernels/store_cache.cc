@@ -113,25 +113,11 @@ KernelStoreCache::getOrCompile(const graph::OpNode &op,
     return it->second;
 }
 
-void
-KernelStoreCache::clear()
-{
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    cache_.clear();
-}
-
 std::size_t
 KernelStoreCache::size() const
 {
     std::shared_lock<std::shared_mutex> lock(mutex_);
     return cache_.size();
-}
-
-KernelStoreCache &
-KernelStoreCache::global()
-{
-    static KernelStoreCache instance;
-    return instance;
 }
 
 KernelStoreCache::Key

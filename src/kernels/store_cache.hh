@@ -13,12 +13,13 @@
  * operator's loop-nest signature (extents with N zeroed -- the
  * sampled values supersede the batch extent, mirroring the Mapper
  * memo key), stride, dtype, the exact clamped value set, the tile
- * count, and a hash of the technology parameters (so one global
- * cache can serve hardware-sweep benches with different chips).
- * Store compilation is deterministic given the key, so sharing a
- * cache across runs or threads never changes simulation outputs;
- * only the hit/miss counters depend on the interleaving (the same
- * contract as the shared Mapper memo).
+ * count, and a hash of the technology parameters (so one cache can
+ * serve hardware-sweep benches with different chips). Store
+ * compilation is deterministic given the key, so the stores a cache
+ * returns never depend on what else it holds. Its miss counter does,
+ * and the serving runtime prices re-schedules by compiled stores
+ * (ServeConfig::storeCompileCycles): every runtime therefore owns a
+ * cache per run unless a caller shares one on purpose.
  */
 
 #ifndef ADYNA_KERNELS_STORE_CACHE_HH
@@ -73,9 +74,6 @@ class KernelStoreCache
                  costmodel::Mapper &mapper,
                  const costmodel::TechParams &tech);
 
-    /** Drop every cached store (e.g. cold-start benchmarking). */
-    void clear();
-
     /** Cached stores. */
     std::size_t size() const;
 
@@ -88,10 +86,6 @@ class KernelStoreCache
     {
         return misses_.load(std::memory_order_relaxed);
     }
-
-    /** The process-wide instance every System / ServeRuntime uses by
-     * default, so re-schedules and sweeps share compiles. */
-    static KernelStoreCache &global();
 
   private:
     struct Key

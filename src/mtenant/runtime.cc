@@ -108,13 +108,9 @@ toJson(const MTenantReport &r)
         // identity prefix spliced in — the 1-tenant equivalence gate
         // compares exactly the serve::toJson substring.
         std::string obj = serve::toJson(t.serve);
-        char pre[192];
-        std::snprintf(pre, sizeof(pre),
-                      "\"tenant\": \"%s\", \"slo_class\": \"%s\", "
-                      "\"tiles\": %d, ",
-                      t.id.c_str(), serve::sloClassName(t.cls),
-                      t.tiles);
-        obj.insert(1, pre);
+        obj.insert(1, "\"tenant\": \"" + t.id + "\", \"slo_class\": \"" +
+                          serve::sloClassName(t.cls) + "\", \"tiles\": " +
+                          std::to_string(t.tiles) + ", ");
         if (i > 0)
             out += ", ";
         out += obj;
@@ -162,11 +158,11 @@ MTenantRuntime::run()
     std::optional<costmodel::Mapper> localMapper;
     if (!sharedMapper_)
         localMapper.emplace(hw_.tech);
+    kernels::KernelStoreCache ownStores;
     const serve::BackendEnv env{
         hw_, schedCfg_, policy_,
         sharedMapper_ ? *sharedMapper_ : *localMapper,
-        sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global()};
+        sharedStoreCache_ ? *sharedStoreCache_ : ownStores};
 
     // ---- initial partition -----------------------------------------
     TilePartitioner partitioner(hw_, cfg_.partition);

@@ -199,10 +199,11 @@ class MTenantRuntime
      * contract as ServeRuntime::setSharedMapper). */
     void setSharedMapper(costmodel::Mapper *mapper);
 
-    /** Use @p cache for compiled-store reuse across tenants (same
-     * contract as ServeRuntime::setSharedStoreCache). The cache is
-     * keyed by tile count, so same-size regions stay warm across
-     * repartitions. */
+    /** Use @p cache instead of the run-owned store cache (same
+     * contract as ServeRuntime::setSharedStoreCache: sharing it
+     * across runs makes compile charges depend on run order). Either
+     * cache serves every tenant of the run and is keyed by tile
+     * count, so same-size regions stay warm across repartitions. */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 
     /** Serve every tenant's numRequests requests and report. */

@@ -207,30 +207,15 @@ toJson(const PodReport &r)
     for (std::size_t i = 0; i < r.chips.size(); ++i) {
         const ChipResult &c = r.chips[i];
         std::string obj = serve::toJson(c.serve);
-        char pre[288];
+        std::string pre =
+            "\"chip\": " + std::to_string(c.id) + ", \"model\": \"" +
+            c.model + "\", \"dark\": " + (c.dark ? "true" : "false") +
+            ", \"routed\": " + std::to_string(c.routed) +
+            ", \"rerouted\": " + std::to_string(c.rerouted) +
+            ", \"drained\": " + std::to_string(c.drained) + ", ";
         if (r.reliabilityActive)
-            std::snprintf(
-                pre, sizeof(pre),
-                "\"chip\": %d, \"model\": \"%s\", "
-                "\"dark\": %s, \"routed\": %llu, "
-                "\"rerouted\": %llu, \"drained\": %llu, "
-                "\"hedged\": %llu, \"sdc\": %llu, ",
-                c.id, c.model.c_str(), c.dark ? "true" : "false",
-                static_cast<unsigned long long>(c.routed),
-                static_cast<unsigned long long>(c.rerouted),
-                static_cast<unsigned long long>(c.drained),
-                static_cast<unsigned long long>(c.hedged),
-                static_cast<unsigned long long>(c.sdc));
-        else
-            std::snprintf(
-                pre, sizeof(pre),
-                "\"chip\": %d, \"model\": \"%s\", "
-                "\"dark\": %s, \"routed\": %llu, "
-                "\"rerouted\": %llu, \"drained\": %llu, ",
-                c.id, c.model.c_str(), c.dark ? "true" : "false",
-                static_cast<unsigned long long>(c.routed),
-                static_cast<unsigned long long>(c.rerouted),
-                static_cast<unsigned long long>(c.drained));
+            pre += "\"hedged\": " + std::to_string(c.hedged) +
+                   ", \"sdc\": " + std::to_string(c.sdc) + ", ";
         obj.insert(1, pre);
         if (i > 0)
             out += ", ";
@@ -416,11 +401,11 @@ PodRuntime::run()
     std::optional<costmodel::Mapper> localMapper;
     if (!sharedMapper_)
         localMapper.emplace(hw_.tech);
+    kernels::KernelStoreCache ownStores;
     const serve::BackendEnv env{
         hw_, schedCfg_, policy_,
         sharedMapper_ ? *sharedMapper_ : *localMapper,
-        sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global()};
+        sharedStoreCache_ ? *sharedStoreCache_ : ownStores};
 
     Interconnect ic(cfg_.interconnect, K);
     Router router(cfg_.router, K);

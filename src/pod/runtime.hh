@@ -345,8 +345,10 @@ class PodRuntime
      * contract as ServeRuntime::setSharedMapper). */
     void setSharedMapper(costmodel::Mapper *mapper);
 
-    /** Use @p cache for compiled-store reuse across chips (same
-     * contract as ServeRuntime::setSharedStoreCache). */
+    /** Use @p cache instead of the run-owned store cache, which
+     * serves every chip of the run (same contract as
+     * ServeRuntime::setSharedStoreCache: sharing it across runs
+     * makes compile charges depend on run order). */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 
     /** Serve PodConfig::serve.numRequests requests and report. */

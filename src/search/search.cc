@@ -192,19 +192,6 @@ ScheduleSearch::run(core::Scheduler &scheduler,
     ADYNA_ASSERT(!probe.empty(),
                  "search needs a non-empty probe trace");
 
-    // Counter scoping (the cacheStatsJson fix): every cache counter
-    // this run moves is attributed to the search via snapshot
-    // deltas, so the caller can keep its installed-schedule stats
-    // clean of rejected candidates.
-    const std::uint64_t storeHits0 =
-        store_cache ? store_cache->hits() : 0;
-    const std::uint64_t storeMisses0 =
-        store_cache ? store_cache->misses() : 0;
-    const std::uint64_t mapperHits0 = mapper_.hits();
-    const std::uint64_t mapperMisses0 = mapper_.misses();
-    const std::uint64_t execHits0 = engine_.execHits();
-    const std::uint64_t execMisses0 = engine_.execMisses();
-
     const SearchContext ctx = [&] {
         SearchContext c(scheduler, dg_, hw_, expectations, profiler);
         c.setSurrogateBatches(cfg_.surrogateBatches);
@@ -225,10 +212,8 @@ ScheduleSearch::run(core::Scheduler &scheduler,
         Result res;
         res.schedule = base;
         res.tree = baseState;
-        if (stats) {
+        if (stats)
             stats->budgetExhausted = true;
-            stats->chains = cfg_.chains;
-        }
         return res;
     }
 
@@ -454,20 +439,7 @@ ScheduleSearch::run(core::Scheduler &scheduler,
         stats->budgetSpentCycles += spent;
         stats->budgetExhausted =
             stats->budgetExhausted || exhausted;
-        stats->chains = cfg_.chains;
-        stats->heuristicCost =
-            static_cast<double>(res.heuristicCost);
-        stats->searchedCost = static_cast<double>(res.searchedCost);
         stats->improved = res.improved;
-        if (store_cache) {
-            stats->storeHits += store_cache->hits() - storeHits0;
-            stats->storeMisses +=
-                store_cache->misses() - storeMisses0;
-        }
-        stats->mapperHits += mapper_.hits() - mapperHits0;
-        stats->mapperMisses += mapper_.misses() - mapperMisses0;
-        stats->execHits += engine_.execHits() - execHits0;
-        stats->execMisses += engine_.execMisses() - execMisses0;
     }
     return res;
 }

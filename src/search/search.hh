@@ -162,9 +162,7 @@ class ScheduleSearch
      * @param store_cache the cache @p scheduler compiles through
      *        (nullptr when disabled) — its unique-insertion delta
      *        prices store compiles against the budget.
-     * @param stats accumulates counters across runs when non-null
-     *        (satellite: counter deltas are snapshot-scoped to this
-     *        run, so installed-schedule stats stay clean).
+     * @param stats accumulates counters across runs when non-null.
      */
     Result run(core::Scheduler &scheduler, const core::Schedule &base,
                const TreeState *incumbent,

@@ -139,12 +139,11 @@ ServeRuntime::run()
     std::optional<costmodel::Mapper> localMapper;
     if (!sharedMapper_)
         localMapper.emplace(hw_.tech);
-    kernels::KernelStoreCache &storeCache =
-        sharedStoreCache_ ? *sharedStoreCache_
-                          : kernels::KernelStoreCache::global();
+    kernels::KernelStoreCache ownStores;
     const BackendEnv env{hw_, schedCfg_, policy_,
                          sharedMapper_ ? *sharedMapper_ : *localMapper,
-                         storeCache};
+                         sharedStoreCache_ ? *sharedStoreCache_
+                                           : ownStores};
     arch::Chip chip(hw_);
 
     // With an empty plan the injector never exists and no loop branch

@@ -206,10 +206,12 @@ struct ServeReport
 
     /**
      * Cache counters of the serving run: mapper memo and
-     * kernel-store cache lookups (best-effort snapshot deltas when
-     * the cache is shared across concurrent runtimes) plus the
-     * engine's exec-cost memo (exact). Warm store hits are what make
-     * drift-triggered re-schedules cheap.
+     * kernel-store cache lookups made by this back-end's builds and
+     * dispatch periods, plus the engine's exec-cost memo. The store
+     * and exec counters are exact for the run-owned caches; a mapper
+     * (or store cache) shared with concurrent runs makes that
+     * counter's hit/miss split depend on thread interleaving. Warm
+     * store hits are what make drift-triggered re-schedules cheap.
      */
     std::uint64_t mapperHits = 0;
     std::uint64_t mapperMisses = 0;
@@ -302,9 +304,15 @@ class ServeRuntime
      * contract as System::setSharedMapper). */
     void setSharedMapper(costmodel::Mapper *mapper);
 
-    /** Use @p cache instead of KernelStoreCache::global() for
-     * compiled-store reuse (same contract as
-     * System::setSharedStoreCache). */
+    /**
+     * Use @p cache instead of a store cache the run owns, so
+     * compiled stores are reused across runs. Must outlive the run;
+     * nullptr restores the run-owned cache. A rebuild is priced at
+     * storeCompileCycles per store it compiles, i.e. per miss, so a
+     * cache warmed by other runs lowers this run's reconfiguration
+     * cost: with a shared cache, simulated output depends on run
+     * order (and, across threads, on which run compiles first).
+     */
     void setSharedStoreCache(kernels::KernelStoreCache *cache);
 
     /** Serve ServeConfig::numRequests requests and report. */

@@ -168,6 +168,15 @@ validateTenantSpecs(const std::vector<TenantSpec> &tenants)
         if (t.id.empty())
             ADYNA_FATAL("TenantSpec.id must be non-empty (tenant #",
                         ids.size(), ")");
+        // Ids are written into the report JSON unescaped.
+        for (const char c : t.id) {
+            const auto u = static_cast<unsigned char>(c);
+            if (c == '"' || c == '\\' || u < 0x20 || u == 0x7f)
+                ADYNA_FATAL("TenantSpec.id must not contain '\"', "
+                            "'\\' or control characters (tenant #",
+                            ids.size(), ", character code ",
+                            static_cast<int>(u), ")");
+        }
         if (!ids.insert(t.id).second)
             ADYNA_FATAL("duplicate tenant id \"", t.id,
                         "\" — TenantSpec.id must be unique per run");

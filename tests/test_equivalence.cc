@@ -54,8 +54,7 @@ loadWorkload(const std::string &name)
  * counters are not serialized, so this captures exactly the
  * simulation-visible outputs. @p shared / @p stores, when non-null,
  * share mapper-memo / compiled-store state across runs; otherwise
- * the run gets a private mapper and its own empty store cache (never
- * the process-global one). */
+ * the run uses its own mapper and store cache. */
 std::string
 runReport(const std::string &workload, Design design, int batches,
           costmodel::Mapper *shared = nullptr,
@@ -63,14 +62,14 @@ runReport(const std::string &workload, Design design, int batches,
 {
     const arch::HwConfig hw;
     const Workload w = loadWorkload(workload);
-    kernels::KernelStoreCache own;
     core::System sys(w.dg, w.tc, hw, baselines::schedulerConfig(design),
                      baselines::execPolicy(design),
                      baselines::runOptions(design, batches, 1),
                      baselines::designName(design));
     if (shared)
         sys.setSharedMapper(shared);
-    sys.setSharedStoreCache(stores ? stores : &own);
+    if (stores)
+        sys.setSharedStoreCache(stores);
     return core::toJson(sys.run(), /*include_batches=*/true);
 }
 
@@ -416,13 +415,11 @@ TEST(Equivalence, CacheCountersReported)
     const auto dg = graph::parseModel(bundle.graph);
     trace::TraceConfig tc = bundle.traceConfig;
     tc.batchSize = 64;
-    kernels::KernelStoreCache stores;
     core::System sys(dg, tc, hw,
                      baselines::schedulerConfig(Design::Adyna),
                      baselines::execPolicy(Design::Adyna),
                      baselines::runOptions(Design::Adyna, 10, 1),
                      "Adyna");
-    sys.setSharedStoreCache(&stores);
     const auto rep = sys.run();
     EXPECT_GT(rep.mapperMisses, 0u);
     // Reconfigurations re-map the same ops, so a multi-period run
@@ -434,11 +431,8 @@ TEST(Equivalence, CacheCountersReported)
     EXPECT_GT(rep.storeMisses, 0u);
     EXPECT_GT(rep.execHits, 0u);
     EXPECT_GT(rep.execMisses, 0u);
-    // Counters stay out of the byte-stable report serialization and
-    // travel in cacheStatsJson instead.
+    // Counters stay out of the byte-stable report serialization.
     const auto json = core::toJson(rep, true);
     EXPECT_EQ(json.find("mapper_hits"), std::string::npos);
-    const auto stats = core::cacheStatsJson(rep);
-    EXPECT_NE(stats.find("\"store_misses\""), std::string::npos);
-    EXPECT_NE(stats.find("\"exec_hits\""), std::string::npos);
+    EXPECT_EQ(json.find("store_misses"), std::string::npos);
 }

@@ -234,8 +234,6 @@ TEST(MTenantRuntime, SingleTenantMatchesServeRuntimeByteForByte)
 
     serve::ServeRuntime direct(w.dg, w.tc, hw, schedCfg, policy, sc,
                                "skipnet");
-    kernels::KernelStoreCache directStores;
-    direct.setSharedStoreCache(&directStores);
     const std::string want = serve::toJson(direct.run());
 
     MTenantConfig mc;
@@ -245,8 +243,6 @@ TEST(MTenantRuntime, SingleTenantMatchesServeRuntimeByteForByte)
     mc.tenants.push_back(ts);
     MTenantRuntime rt({{&w.dg, w.tc, "skipnet"}}, hw, schedCfg,
                       policy, mc);
-    kernels::KernelStoreCache viaStores;
-    rt.setSharedStoreCache(&viaStores);
     const MTenantReport mr = rt.run();
 
     ASSERT_EQ(mr.tenants.size(), 1u);
@@ -288,8 +284,6 @@ twoTenantRun(PartitionKind kind, bool elastic, std::uint64_t seed,
         {{&wa.dg, wa.tc, "skipnet"}, {&wb.dg, wb.tc, "pabee"}}, hw,
         baselines::schedulerConfig(baselines::Design::Adyna),
         baselines::execPolicy(baselines::Design::Adyna), mc);
-    kernels::KernelStoreCache stores;
-    rt.setSharedStoreCache(&stores);
     return rt.run();
 }
 
@@ -407,8 +401,6 @@ TEST(MTenantRuntime, SingleTenantMatchesServeRuntimeUnderFaults)
     direct_sc.faultPlan = fault::parseFaultPlanOrDie(plan);
     serve::ServeRuntime direct(w.dg, w.tc, hw, schedCfg, policy,
                                direct_sc, "pabee");
-    kernels::KernelStoreCache directStores;
-    direct.setSharedStoreCache(&directStores);
     const serve::ServeReport want = direct.run();
     ASSERT_GT(want.failovers, 0);
     ASSERT_GT(want.deltaReschedules, 0);
@@ -423,8 +415,6 @@ TEST(MTenantRuntime, SingleTenantMatchesServeRuntimeUnderFaults)
     mc.tenants.push_back(ts);
     MTenantRuntime rt({{&w.dg, w.tc, "pabee"}}, hw, schedCfg, policy,
                       mc);
-    kernels::KernelStoreCache viaStores;
-    rt.setSharedStoreCache(&viaStores);
     const MTenantReport mr = rt.run();
 
     ASSERT_EQ(mr.tenants.size(), 1u);
@@ -463,8 +453,6 @@ TEST(MTenantRuntime, SearchOnDriftRunsPerTenant)
                       baselines::schedulerConfig(baselines::Design::Adyna),
                       baselines::execPolicy(baselines::Design::Adyna),
                       mc);
-    kernels::KernelStoreCache stores;
-    rt.setSharedStoreCache(&stores);
     const MTenantReport r = rt.run();
 
     ASSERT_EQ(r.tenants.size(), 2u);
@@ -517,6 +505,21 @@ TEST(MTenantRuntime, BackEndCacheCountersPartitionTheSharedCaches)
     EXPECT_GT(storeSum, 0u);
     EXPECT_EQ(mapperSum, mapper.hits() + mapper.misses());
     EXPECT_EQ(storeSum, stores.hits() + stores.misses());
+}
+
+TEST(MTenantReport, LongTenantIdSurvivesJson)
+{
+    MTenantReport r;
+    r.mode = "isolation";
+    TenantResult t;
+    t.id = std::string(300, 'x');
+    t.tiles = 48;
+    r.tenants.push_back(t);
+    const std::string j = toJson(r);
+    EXPECT_NE(j.find("\"tenant\": \"" + t.id + "\""), std::string::npos);
+    EXPECT_EQ(std::count(j.begin(), j.end(), '{'),
+              std::count(j.begin(), j.end(), '}'));
+    EXPECT_EQ(j.back(), '}');
 }
 
 TEST(MTenantRuntime, WorkloadCountMismatchIsFatal)

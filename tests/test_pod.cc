@@ -440,8 +440,6 @@ runPod(PodConfig pc, std::vector<PodWorkload> wls)
                   baselines::schedulerConfig(baselines::Design::Adyna),
                   baselines::execPolicy(baselines::Design::Adyna),
                   std::move(pc));
-    kernels::KernelStoreCache stores;
-    rt.setSharedStoreCache(&stores);
     return rt.run();
 }
 
@@ -477,8 +475,6 @@ TEST(PodRuntime, SingleChipPodMatchesServeRuntimeByteForByte)
 
     serve::ServeRuntime direct(w.dg, w.tc, hw, schedCfg, policy, sc,
                                "skipnet");
-    kernels::KernelStoreCache directStores;
-    direct.setSharedStoreCache(&directStores);
     const std::string want = serve::toJson(direct.run());
 
     PodConfig pc;
@@ -486,8 +482,6 @@ TEST(PodRuntime, SingleChipPodMatchesServeRuntimeByteForByte)
     pc.serve = sc;
     PodRuntime rt({{&w.dg, w.tc, "skipnet", 1.0}}, hw, schedCfg,
                   policy, pc);
-    kernels::KernelStoreCache podStores;
-    rt.setSharedStoreCache(&podStores);
     const PodReport pr = rt.run();
 
     ASSERT_EQ(pr.chips.size(), 1u);
@@ -732,6 +726,23 @@ TEST(PodRuntime, DefaultPodReportHasNoReliabilityJson)
     EXPECT_EQ(json.find("router_stats"), std::string::npos);
     EXPECT_EQ(json.find("hedged"), std::string::npos);
     EXPECT_EQ(json.find("\"sdc\""), std::string::npos);
+}
+
+TEST(PodReport, LongModelNameSurvivesJson)
+{
+    for (const bool reliability : {false, true}) {
+        PodReport r;
+        r.reliabilityActive = reliability;
+        ChipResult c;
+        c.model = std::string(300, 'm');
+        r.chips.push_back(c);
+        const std::string j = toJson(r);
+        EXPECT_NE(j.find("\"model\": \"" + c.model + "\""),
+                  std::string::npos);
+        EXPECT_EQ(std::count(j.begin(), j.end(), '{'),
+                  std::count(j.begin(), j.end(), '}'));
+        EXPECT_EQ(j.back(), '}');
+    }
 }
 
 TEST(PodRuntime, RoundRobinSpreadsArrivalsEvenly)

@@ -17,7 +17,6 @@
 
 #include "baselines/designs.hh"
 #include "graph/parser.hh"
-#include "kernels/store_cache.hh"
 #include "models/models.hh"
 #include "serve/arrival.hh"
 #include "serve/batcher.hh"
@@ -515,11 +514,6 @@ smokeServe(bool adaptive, double drift_strength, std::uint64_t seed)
         baselines::schedulerConfig(baselines::Design::Adyna),
         baselines::execPolicy(baselines::Design::Adyna), sc,
         "skipnet");
-    // A run-private store cache: the reported JSON includes cache
-    // counters, which would otherwise depend on how warm the
-    // process-global cache is from earlier runs.
-    kernels::KernelStoreCache stores;
-    rt.setSharedStoreCache(&stores);
     return rt.run();
 }
 
@@ -746,8 +740,6 @@ driftServe(bool delta_reschedule, std::uint64_t seed)
         baselines::schedulerConfig(baselines::Design::Adyna),
         baselines::execPolicy(baselines::Design::Adyna), sc,
         "pabee");
-    kernels::KernelStoreCache stores;
-    rt.setSharedStoreCache(&stores);
     return rt.run();
 }
 
@@ -764,6 +756,17 @@ TEST(ServeRuntime, DeltaRescheduleCountsSplicedSegments)
     EXPECT_GT(r.segmentsRebuilt + r.segmentsSpliced, 0u);
     EXPECT_GT(r.segmentsSpliced, 0u)
         << "multi-segment drift should splice the untouched segments";
+}
+
+TEST(ServeRuntime, RepeatedDriftRunIsByteIdentical)
+{
+    // Each run owns its store cache, so a second run in the same
+    // process compiles (and is charged for) the same stores as the
+    // first instead of inheriting them.
+    const ServeReport a = driftServe(true, 11);
+    const ServeReport b = driftServe(true, 11);
+    ASSERT_GT(a.reschedules, 0) << "drift must trigger";
+    EXPECT_EQ(toJson(a), toJson(b));
 }
 
 TEST(ServeRuntime, DeltaOffNeverSplices)
@@ -828,8 +831,6 @@ searchServe(bool search_on, Cycles watchdog_budget,
         baselines::schedulerConfig(baselines::Design::Adyna),
         baselines::execPolicy(baselines::Design::Adyna), sc,
         "pabee");
-    kernels::KernelStoreCache stores;
-    rt.setSharedStoreCache(&stores);
     return rt.run();
 }
 
@@ -925,6 +926,20 @@ TEST(Validate, RejectsDuplicateTenantIds)
     tenants[1].id = tenants[0].id;
     EXPECT_EXIT(validateTenantSpecs(tenants),
                 ::testing::ExitedWithCode(1), "duplicate tenant id");
+}
+
+TEST(Validate, RejectsTenantIdNeedingJsonEscape)
+{
+    // Ids go into the report JSON unescaped, so a character that
+    // would need escaping there is a config error.
+    for (const std::string bad : {"a\"b", "a\\b", "a\nb", "a\x01"}) {
+        auto tenants = validTenants();
+        tenants[1].id = bad;
+        EXPECT_EXIT(validateTenantSpecs(tenants),
+                    ::testing::ExitedWithCode(1), "must not contain")
+            << "id with character code "
+            << static_cast<int>(static_cast<unsigned char>(bad[1]));
+    }
 }
 
 TEST(Validate, RejectsNonPositiveTenantRate)
